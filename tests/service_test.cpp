@@ -3,14 +3,19 @@
 // stat aggregation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/baselines.h"
 #include "core/randomized_admission.h"
+#include "core/simd_sweep.h"
 #include "service/admission_service.h"
 #include "sim/workloads.h"
 #include "test_util.h"
@@ -536,6 +541,105 @@ TEST_F(ConcurrentPump, ShardFailureVoidsPlacementsLikeSequential) {
     // Exactly shard 1's arrivals past its 10 processed ones are voided.
     EXPECT_EQ(service.shard_stats(1).arrivals, 10u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Decision golden: one 64-bit literal pins every catalog scenario's final
+// decisions across worker counts, fault tolerance, snapshot/restore and
+// sweep-kernel tiers
+// ---------------------------------------------------------------------------
+
+/// The literal every variant must reproduce.  Computed once with the
+/// one-worker pump; any change to routing, the per-arrival loop, the
+/// engines or the snapshot layer that moves a single decision moves it.
+constexpr std::uint64_t kCatalogDecisionGolden = 0xCE0990A0B82729D1ULL;
+
+struct GoldenVariant {
+  std::size_t threads = 1;
+  bool fault_tolerance = false;
+  /// Snapshot at the midpoint, restore into a fresh service, continue.
+  bool restore_midpoint = false;
+};
+
+std::uint64_t golden_fold(std::uint64_t hash, std::uint64_t value) {
+  hash ^= value;
+  return splitmix64(hash);
+}
+
+/// Pumps every scenario_catalog() entry (about 1,500 requests on 16
+/// edges, 4 shards, randomized_shard_factory) through one service variant
+/// and folds each scenario's final is_accepted bits and rejected_cost bit
+/// pattern into one splitmix64 chain.
+std::uint64_t catalog_decision_golden(const GoldenVariant& variant) {
+  constexpr std::uint64_t kSeed = 1;
+  std::uint64_t hash = 0;
+  for (const ScenarioInfo& info : scenario_catalog()) {
+    const std::string name = info.name;
+    ScenarioParams params;
+    params.requests = 1500;
+    params.edges = 16;
+    if (name == "adversarial_single_edge") {
+      // Same bound as bench_e16_scaling: quadratic preemption churn.
+      params.requests = std::min<std::size_t>(params.requests, 12000);
+    }
+    Rng rng(kSeed);
+    const AdmissionInstance inst = make_scenario(name, params, rng);
+    const ShardAlgorithmFactory factory =
+        randomized_shard_factory(all_unit_costs(inst), kSeed);
+    ServiceConfig cfg;
+    cfg.shards = 4;
+    cfg.batch = 256;
+    cfg.threads = variant.threads;
+    cfg.fault_tolerance.enabled = variant.fault_tolerance;
+    const std::span<const Request> requests(inst.requests());
+    const std::size_t mid =
+        variant.restore_midpoint ? requests.size() / 2 : requests.size();
+    auto service =
+        std::make_unique<AdmissionService>(inst.graph(), factory, cfg);
+    const auto pump = [&](std::size_t from, std::size_t to) {
+      for (std::size_t i = from; i < to; i += cfg.batch) {
+        service->submit_batch(
+            requests.subspan(i, std::min(cfg.batch, to - i)));
+      }
+    };
+    pump(0, mid);
+    if (variant.restore_midpoint) {
+      const std::vector<std::uint8_t> blob = service->snapshot();
+      service = std::make_unique<AdmissionService>(inst.graph(), factory, cfg);
+      service->restore(blob);
+      pump(mid, requests.size());
+    }
+    EXPECT_EQ(service->arrivals(), requests.size()) << name;
+    for (std::size_t i = 0; i < service->arrivals(); ++i) {
+      hash = golden_fold(hash, service->is_accepted(i) ? 1 : 0);
+    }
+    hash = golden_fold(
+        hash, std::bit_cast<std::uint64_t>(service->aggregate().rejected_cost));
+  }
+  return hash;
+}
+
+TEST(DecisionGolden, CatalogDecisionsMatchPinnedLiteral) {
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    EXPECT_EQ(catalog_decision_golden({threads, false, false}),
+              kCatalogDecisionGolden)
+        << "threads " << threads;
+  }
+  EXPECT_EQ(catalog_decision_golden({2, true, false}), kCatalogDecisionGolden)
+      << "fault tolerance on, no injector";
+  EXPECT_EQ(catalog_decision_golden({2, false, true}), kCatalogDecisionGolden)
+      << "snapshot at the midpoint, restore, continue";
+  for (const simd::SweepIsa isa :
+       {simd::SweepIsa::kScalar, simd::SweepIsa::kAvx2,
+        simd::SweepIsa::kAvx512}) {
+    // The override clamps to what this CPU supports; skip the tiers it
+    // cannot run instead of re-testing the clamped one.
+    if (simd::set_sweep_isa_for_tests(isa) != isa) continue;
+    EXPECT_EQ(catalog_decision_golden({2, false, false}),
+              kCatalogDecisionGolden)
+        << "sweep tier " << simd::sweep_isa_name(isa);
+  }
+  simd::clear_sweep_isa_override();
 }
 
 // ---------------------------------------------------------------------------
