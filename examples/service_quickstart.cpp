@@ -21,7 +21,7 @@ int main() {
 
   // 2. A 4-shard service: each shard owns an independent §3 randomized
   //    admission algorithm on the shared graph; traffic is partitioned by
-  //    edge hash and pumped in batches over the thread pool.
+  //    edge hash and streamed in batches through per-shard ring workers.
   ServiceConfig config;
   config.shards = 4;
   config.batch = 512;

@@ -54,6 +54,16 @@ std::uint64_t capacity_fingerprint(const Graph& graph) noexcept {
   return splitmix64(state);
 }
 
+/// Reads a count of snapshot items that each take at least `min_bytes`
+/// of the payload.  A hostile count fails here as InvalidArgument instead
+/// of driving a huge allocation (std::length_error / bad_alloc).
+std::size_t read_count(SnapshotReader& r, std::size_t min_bytes) {
+  const std::uint64_t n = r.u64();
+  MINREJ_REQUIRE(n <= r.remaining() / min_bytes,
+                 "snapshot count exceeds the bytes present");
+  return static_cast<std::size_t>(n);
+}
+
 }  // namespace
 
 AdmissionService::AdmissionService(const Graph& graph,
@@ -64,9 +74,6 @@ AdmissionService::AdmissionService(const Graph& graph,
   MINREJ_REQUIRE(config_.batch >= 1, "batch must be positive");
   MINREJ_REQUIRE(static_cast<bool>(factory_), "null algorithm factory");
   MINREJ_REQUIRE(graph_.edge_count() >= 1, "graph has no edges");
-  MINREJ_REQUIRE(!(config_.lca_reconcile && config_.fault_tolerance.enabled),
-                 "lca_reconcile is incompatible with fault tolerance: the "
-                 "reconcile lane has no committed log to rebuild from");
   if (config_.partition) {
     // A partition that maps any edge out of range would fail mid-pump on
     // the first request touching that edge; surface it at construction
@@ -90,36 +97,15 @@ AdmissionService::AdmissionService(const Graph& graph,
     MINREJ_REQUIRE(&shards_[s].algorithm->graph() == &graph_,
                    "shard algorithm must be built on the service graph");
   }
-  if (config_.lca_reconcile) {
-    // The reconcile lane is "shard K": its factory shard index is past the
-    // real shards, so seeded factories give it an independent stream.
-    lca_algorithm_ = factory_(graph_, config_.shards);
-    MINREJ_REQUIRE(lca_algorithm_ != nullptr,
-                   "factory returned a null algorithm");
-    MINREJ_REQUIRE(&lca_algorithm_->graph() == &graph_,
-                   "LCA lane algorithm must be built on the service graph");
+  const std::size_t capacity = std::max<std::size_t>(1024, config_.batch);
+  lanes_.reserve(config_.shards);
+  for (std::size_t s = 0; s < config_.shards; ++s) {
+    lanes_.push_back(std::make_unique<Lane>(capacity));
   }
-  if (config_.pump == PumpMode::kRings) {
-    const std::size_t capacity =
-        config_.ring_capacity > 0 ? config_.ring_capacity
-                                  : std::max<std::size_t>(1024, config_.batch);
-    lanes_.reserve(config_.shards);
-    for (std::size_t s = 0; s < config_.shards; ++s) {
-      lanes_.push_back(std::make_unique<Lane>(capacity));
-    }
-    start_workers();
-  } else {
-    pool_ = std::make_unique<ThreadPool>(pump_workers(config_));
-  }
+  start_workers();
 }
 
 AdmissionService::~AdmissionService() { stop_workers(); }
-
-std::size_t AdmissionService::worker_count() const noexcept {
-  return config_.pump == PumpMode::kRings
-             ? ring_workers_.size()
-             : (pool_ ? pool_->thread_count() : 0);
-}
 
 void AdmissionService::start_workers() {
   const std::size_t workers = pump_workers(config_);
@@ -130,7 +116,6 @@ void AdmissionService::start_workers() {
 }
 
 void AdmissionService::stop_workers() {
-  if (ring_workers_.empty()) return;
   {
     std::lock_guard<std::mutex> lock(pump_mu_);
     stop_workers_ = true;
@@ -153,15 +138,25 @@ void AdmissionService::kick_workers() {
   cv_wake_.notify_all();
 }
 
-void AdmissionService::wait_for_workers(const std::function<bool()>& pred) {
+bool AdmissionService::lanes_quiescent() const {
+  for (const std::unique_ptr<Lane>& lane : lanes_) {
+    if (lane->consumed.load(std::memory_order_acquire) != lane->pushed ||
+        lane->rebuild.load(std::memory_order_acquire)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void AdmissionService::wait_for_workers() {
   // Bounded spin first: on the pumping fast path the workers finish the
   // batch within the spin window and no lock is ever taken.
   for (int spin = 0; spin < 4096; ++spin) {
-    if (pred()) return;
+    if (lanes_quiescent()) return;
     std::this_thread::yield();
   }
   std::unique_lock<std::mutex> lock(pump_mu_);
-  while (!pred()) {
+  while (!lanes_quiescent()) {
     // Timed wait: workers notify cv_done_ locklessly after each chunk, so
     // a notification racing past this thread costs one timeout, never a
     // hang.
@@ -211,9 +206,11 @@ bool AdmissionService::drain_lane(std::size_t s) {
   std::uint32_t idx;
   if (!lane.ring.try_pop(idx)) return false;
   // The successful pop's acquire pairs with the routing thread's release
-  // push: live_batch_ and the pre-batch shard state are visible from here.
+  // push: live_batch_, the per-attempt shard state and the sized modes_
+  // are visible from here.
   Shard& shard = shards_[s];
   const std::span<const Request> batch = live_batch_;
+  const bool ft = config_.fault_tolerance.enabled;
   constexpr std::size_t kChunk = 256;
   std::size_t consumed = 0;
   Timer busy;
@@ -222,47 +219,102 @@ bool AdmissionService::drain_lane(std::size_t s) {
     ++consumed;
     if (shard.error) continue;  // poisoned: discard the rest, but count it
     try {
+      const bool shed = ft && before_ft_arrival(s, idx, busy);
       if (config_.collect_latencies) arrival_timer.reset();
-      const ArrivalResult result = shard.algorithm->process(batch[idx]);
+      const ArrivalResult result =
+          shed ? shard.algorithm->process_shed(batch[idx])
+               : shard.algorithm->process(batch[idx]);
       if (config_.collect_latencies) {
         shard.latencies_s.push_back(arrival_timer.elapsed_s());
       }
       decisions_[idx] = result.accepted ? 1 : 0;
-      ++shard.arrivals;
+      ++shard.done;
+      if (ft) after_ft_arrival(shard, idx, shed);
     } catch (...) {
       shard.error = std::current_exception();
     }
   } while (consumed < kChunk && lane.ring.try_pop(idx));
-  shard.busy_seconds += busy.elapsed_s();
+  const double elapsed = busy.elapsed_s();
+  shard.busy_seconds += elapsed;
+  shard.attempt_busy_s += elapsed;
   // One release per chunk, not per arrival: publishes every shard write
   // above to the routing thread's acquire load in the completion wait.
   lane.consumed.fetch_add(consumed, std::memory_order_release);
   return true;
 }
 
+bool AdmissionService::before_ft_arrival(std::size_t s, std::size_t idx,
+                                         const Timer& busy) {
+  Shard& shard = shards_[s];
+  const FaultToleranceConfig& ft = config_.fault_tolerance;
+  if (const FaultInjector* injector = ft.injector.get()) {
+    // Probe on the service-global arrival index: it advances even when
+    // the shard sheds, so a healed shard is not doomed to replay the
+    // exact probe pattern that quarantined it.
+    const std::size_t global_arrival = live_base_ + idx;
+    switch (injector->probe(s, global_arrival, live_attempt_)) {
+      case FaultAction::kException:
+        throw InjectedFault("injected shard-task fault (shard " +
+                            std::to_string(s) + ", arrival " +
+                            std::to_string(global_arrival) + ", attempt " +
+                            std::to_string(live_attempt_) + ")");
+      case FaultAction::kDelay:
+        std::this_thread::sleep_for(
+            std::chrono::duration<double>(injector->delay_seconds()));
+        ++shard.injected_delays;
+        break;
+      case FaultAction::kNone:
+        break;
+    }
+  }
+  // Deadline shedding is per (shard, attempt): a slow sub-batch degrades
+  // its own tail, the next attempt starts fresh.
+  const double deadline_s = ft.overload.shard_deadline_s;
+  if (deadline_s > 0.0 && !shard.deadline_shed &&
+      shard.attempt_busy_s + busy.elapsed_s() > deadline_s) {
+    shard.deadline_shed = true;
+  }
+  return shard.degraded || shard.deadline_shed;
+}
+
+void AdmissionService::after_ft_arrival(Shard& shard, std::size_t idx,
+                                        bool shed) {
+  modes_[live_base_ + idx] = static_cast<std::uint8_t>(
+      shed ? DecisionMode::kShed : DecisionMode::kEngine);
+  // The budget latch is per-shard and permanent until a rebuild
+  // re-derives it.
+  if (config_.fault_tolerance.overload.shed_on_budget && !shard.degraded &&
+      shard.algorithm->augmentation_steps() >
+          augmentation_step_budget(shard.algorithm->arrivals(),
+                                   graph_.edge_count(),
+                                   graph_.max_capacity())) {
+    shard.degraded = true;
+  }
+}
+
 bool AdmissionService::run_lane_job(std::size_t s) {
   Lane& lane = *lanes_[s];
-  const auto kind =
-      static_cast<JobKind>(lane.job.load(std::memory_order_acquire));
-  if (kind == JobKind::kNone) return false;
-  switch (kind) {
-    case JobKind::kFtAttempt:
-      run_shard_task_ft(s, live_batch_, lane.job_base, lane.job_attempt,
-                        lane.job_injector);
-      break;
-    case JobKind::kRebuild:
-      try {
-        rebuild_shard(s);
-      } catch (...) {
-        shards_[s].error = std::current_exception();
-      }
-      break;
-    case JobKind::kNone:
-      break;
+  if (!lane.rebuild.load(std::memory_order_acquire)) return false;
+  try {
+    rebuild_shard(s);
+  } catch (...) {
+    shards_[s].error = std::current_exception();
   }
-  lane.job.store(static_cast<std::uint8_t>(JobKind::kNone),
-                 std::memory_order_release);
+  lane.rebuild.store(false, std::memory_order_release);
   return true;
+}
+
+void AdmissionService::push(std::size_t s, std::size_t idx) {
+  Lane& lane = *lanes_[s];
+  std::size_t spins = 0;
+  while (!lane.ring.try_push(static_cast<std::uint32_t>(idx))) {
+    // Ring full: the owning worker is behind.  Yield to it; kick
+    // periodically in case it reached its idle sleep before our first
+    // kick landed.
+    if ((++spins & 0x3FFu) == 0) kick_workers();
+    std::this_thread::yield();
+  }
+  ++lane.pushed;
 }
 
 std::size_t AdmissionService::hash_edge_to_shard(
@@ -289,211 +341,6 @@ std::size_t AdmissionService::shard_of_request(const Request& request) const {
   return shard_of_edge(request.edges.front());
 }
 
-std::vector<bool> AdmissionService::submit_batch(
-    std::span<const Request> batch) {
-  // One branch each is the whole cost of the fault-tolerance layer and the
-  // rings pump when they are off: the code below is the pre-existing fast
-  // path, untouched.
-  if (config_.fault_tolerance.enabled) return submit_batch_ft(batch);
-  if (config_.pump == PumpMode::kRings) return submit_batch_rings(batch);
-  Timer wall;
-  for (Shard& shard : shards_) shard.pending.clear();
-  lca_pending_.clear();
-  const std::size_t base = placement_.size();
-  placement_.reserve(base + batch.size());
-
-  // Route on the caller's thread: placement (shard + shard-local id) is
-  // fully determined before any worker runs, so it never races and the
-  // shard-local id sequence is arrival-ordered by construction.
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (lca_algorithm_ && request_crosses_shards(batch[i])) {
-      // Cross-shard arrival: diverted to the reconcile lane; its placement
-      // is filled in by reconcile_lca_pending after the shard work drains.
-      lca_pending_.push_back(i);
-      placement_.emplace_back(kLcaShardMarker, kInvalidId);
-      continue;
-    }
-    const std::size_t s = shard_of_request(batch[i]);
-    const auto local = static_cast<RequestId>(shards_[s].algorithm->arrivals() +
-                                              shards_[s].pending.size());
-    shards_[s].pending.push_back(i);
-    placement_.emplace_back(static_cast<std::uint32_t>(s), local);
-  }
-
-  decisions_.assign(batch.size(), 0);
-  // Per-shard arrival counts before the pump: on a shard failure these
-  // locate the first unprocessed arrival so its placement can be voided.
-  std::vector<std::size_t> processed_before(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    processed_before[s] = shards_[s].arrivals;
-  }
-  std::size_t busy_shards = 0;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (shards_[s].pending.empty()) continue;
-    ++busy_shards;
-    pool_->submit([this, s, batch] {
-      Shard& shard = shards_[s];
-      try {
-        Timer busy;
-        Timer arrival_timer;
-        for (const std::size_t idx : shard.pending) {
-          if (config_.collect_latencies) arrival_timer.reset();
-          const ArrivalResult result = shard.algorithm->process(batch[idx]);
-          if (config_.collect_latencies) {
-            shard.latencies_s.push_back(arrival_timer.elapsed_s());
-          }
-          decisions_[idx] = result.accepted ? 1 : 0;
-          ++shard.arrivals;
-        }
-        shard.busy_seconds += busy.elapsed_s();
-      } catch (...) {
-        shard.error = std::current_exception();
-      }
-    });
-  }
-  if (busy_shards > 0) pool_->wait_idle();
-  if (!lca_pending_.empty()) reconcile_lca_pending(batch, base);
-  pumped_seconds_ += wall.elapsed_s();
-
-  std::exception_ptr first_error;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = shards_[s];
-    if (!shard.error) continue;
-    if (!first_error) first_error = shard.error;
-    shard.error = nullptr;
-    // The shard stopped mid-sub-batch: its algorithm never assigned ids
-    // to the remaining arrivals.  Void their placements so a later batch
-    // cannot alias those local ids onto the stale entries (is_accepted on
-    // a voided arrival throws instead of answering for the wrong
-    // request).
-    const std::size_t processed = shard.arrivals - processed_before[s];
-    for (std::size_t j = processed; j < shard.pending.size(); ++j) {
-      placement_[base + shard.pending[j]].second = kInvalidId;
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-  std::vector<bool> accepted(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    accepted[i] = decisions_[i] != 0;
-  }
-  return accepted;
-}
-
-std::vector<bool> AdmissionService::submit_batch_rings(
-    std::span<const Request> batch) {
-  Timer wall;
-  for (Shard& shard : shards_) shard.pending.clear();
-  lca_pending_.clear();
-  const std::size_t base = placement_.size();
-  placement_.reserve(base + batch.size());
-  decisions_.assign(batch.size(), 0);
-
-  // Between batches the workers are quiescent (the previous completion
-  // wait saw every pushed index consumed), so these reads are stable.
-  // local_base snapshots each algorithm's arrival count *now*, because by
-  // the time a later arrival of this batch is routed the owning worker may
-  // already be advancing it — the count at batch start plus the number of
-  // already-routed arrivals reproduces the sequential pump's ids exactly.
-  std::vector<std::size_t> processed_before(shards_.size());
-  std::vector<std::size_t> local_base(shards_.size());
-  std::vector<std::uint64_t> target(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    processed_before[s] = shards_[s].arrivals;
-    local_base[s] = shards_[s].algorithm->arrivals();
-    target[s] = lanes_[s]->consumed.load(std::memory_order_relaxed);
-  }
-
-  // Publish the batch, then stream indices into the shard rings as they
-  // are routed: the ring push's release store is what makes live_batch_
-  // (and decisions_) visible to the consuming worker, and workers overlap
-  // with the rest of the routing loop.
-  live_batch_ = batch;
-  kick_workers();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (lca_algorithm_ && request_crosses_shards(batch[i])) {
-      lca_pending_.push_back(i);
-      placement_.emplace_back(kLcaShardMarker, kInvalidId);
-      continue;
-    }
-    const std::size_t s = shard_of_request(batch[i]);
-    Shard& shard = shards_[s];
-    const auto local =
-        static_cast<RequestId>(local_base[s] + shard.pending.size());
-    shard.pending.push_back(i);
-    placement_.emplace_back(static_cast<std::uint32_t>(s), local);
-    std::size_t spins = 0;
-    while (!lanes_[s]->ring.try_push(static_cast<std::uint32_t>(i))) {
-      // Ring full: the owning worker is behind.  Yield to it; kick
-      // periodically in case it reached its idle sleep before our first
-      // kick landed.
-      if ((++spins & 0x3FFu) == 0) kick_workers();
-      std::this_thread::yield();
-    }
-  }
-  kick_workers();
-  wait_for_workers([&] {
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (shards_[s].pending.empty()) continue;
-      if (lanes_[s]->consumed.load(std::memory_order_acquire) <
-          target[s] + shards_[s].pending.size()) {
-        return false;
-      }
-    }
-    return true;
-  });
-  if (!lca_pending_.empty()) reconcile_lca_pending(batch, base);
-  pumped_seconds_ += wall.elapsed_s();
-
-  // Identical failure semantics to the kTasks pump: drain first, void the
-  // failing shard's unprocessed placements, rethrow the first error.
-  std::exception_ptr first_error;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = shards_[s];
-    if (!shard.error) continue;
-    if (!first_error) first_error = shard.error;
-    shard.error = nullptr;
-    const std::size_t processed = shard.arrivals - processed_before[s];
-    for (std::size_t j = processed; j < shard.pending.size(); ++j) {
-      placement_[base + shard.pending[j]].second = kInvalidId;
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-  std::vector<bool> accepted(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    accepted[i] = decisions_[i] != 0;
-  }
-  return accepted;
-}
-
-bool AdmissionService::request_crosses_shards(const Request& request) const {
-  if (request.edges.size() <= 1) return false;
-  const std::size_t first = shard_of_edge(request.edges.front());
-  for (std::size_t i = 1; i < request.edges.size(); ++i) {
-    if (shard_of_edge(request.edges[i]) != first) return true;
-  }
-  return false;
-}
-
-void AdmissionService::reconcile_lca_pending(std::span<const Request> batch,
-                                             std::size_t base) {
-  // Runs on the routing thread with the shard workers quiescent, so the
-  // speculative would_overflow probes read a stable (and worker-count
-  // independent) per-shard state: the one after this batch's shard-local
-  // traffic.  The reconcile engine is authoritative; the speculation is
-  // only scored, never trusted.
-  for (const std::size_t idx : lca_pending_) {
-    const Request& request = batch[idx];
-    const std::size_t owner = shard_of_request(request);
-    const bool speculative =
-        !shards_[owner].algorithm->would_overflow(request);
-    const auto local = static_cast<RequestId>(lca_algorithm_->arrivals());
-    const ArrivalResult result = lca_algorithm_->process(request);
-    decisions_[idx] = result.accepted ? 1 : 0;
-    placement_[base + idx] = {kLcaShardMarker, local};
-    if (speculative == result.accepted) ++lca_speculation_hits_;
-  }
-}
-
 bool AdmissionService::request_well_formed(
     const Request& request) const noexcept {
   if (request.edges.empty()) return false;
@@ -508,27 +355,51 @@ bool AdmissionService::request_well_formed(
   return true;
 }
 
-std::vector<bool> AdmissionService::submit_batch_ft(
+std::vector<bool> AdmissionService::submit_batch(
     std::span<const Request> batch) {
   Timer wall;
   const FaultToleranceConfig& ft = config_.fault_tolerance;
-  const FaultInjector* injector = ft.injector.get();
-  for (Shard& shard : shards_) shard.pending.clear();
+  const FaultInjector* injector = ft.enabled ? ft.injector.get() : nullptr;
   const std::size_t base = placement_.size();
   placement_.reserve(base + batch.size());
-  modes_.reserve(base + batch.size());
   decisions_.assign(batch.size(), 0);
+  // Sized before the first push: workers write modes by index while this
+  // thread is still routing, so the vector must not reallocate mid-batch.
+  if (ft.enabled) modes_.resize(base + batch.size());
 
-  // Route + admit-to-the-pump on the caller's thread.  Arrivals that are
-  // malformed (or flagged corrupt by the injector), owned by a
-  // quarantined shard, or beyond a shard's queue limit never reach an
-  // algorithm: their decision stays "rejected", their placement is voided
-  // (is_accepted throws instead of answering for the wrong request), and
-  // the mode records why.
+  // Between batches the workers are quiescent (the previous completion
+  // wait saw every pushed index consumed), so these reads and writes are
+  // stable.  local_base snapshots each algorithm's arrival count *now*,
+  // because by the time a later arrival of this batch is routed the owning
+  // worker may already be advancing it — the count at batch start plus
+  // the number of already-routed arrivals is the sequential id exactly.
+  std::vector<std::size_t> local_base(shards_.size());
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    shards_[s].pending.clear();
+    shards_[s].begin_attempt();
+    local_base[s] = shards_[s].algorithm->arrivals();
+  }
+
+  // Publish the batch, then route on this thread and stream each index
+  // into its shard's ring as soon as it is placed: the push's release
+  // store is what makes live_batch_ (and decisions_, modes_) visible to
+  // the consuming worker, and workers overlap with the rest of routing.
+  // Under fault tolerance, arrivals that are malformed (or flagged corrupt
+  // by the injector), owned by a quarantined shard, or beyond a shard's
+  // queue limit never reach an algorithm: their decision stays
+  // "rejected", their placement is voided and the mode records why.
+  live_batch_ = batch;
+  live_base_ = base;
+  live_attempt_ = 0;
+  kick_workers();
+  const auto drop = [&](std::size_t i, std::size_t s, DecisionMode mode) {
+    placement_.emplace_back(static_cast<std::uint32_t>(s), kInvalidId);
+    modes_[base + i] = static_cast<std::uint8_t>(mode);
+  };
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Request& request = batch[i];
-    if ((injector && injector->corrupt(base + i)) ||
-        !request_well_formed(request)) {
+    if (ft.enabled && ((injector && injector->corrupt(base + i)) ||
+                       !request_well_formed(request))) {
       // Attribute to the shard the first edge routes to when it is
       // routable at all; shard 0 is the catch-all for unroutable garbage.
       const std::size_t s =
@@ -536,82 +407,90 @@ std::vector<bool> AdmissionService::submit_batch_ft(
               ? shard_of_edge(request.edges.front())
               : 0;
       ++shards_[s].malformed;
-      placement_.emplace_back(static_cast<std::uint32_t>(s), kInvalidId);
-      modes_.push_back(static_cast<std::uint8_t>(DecisionMode::kMalformed));
+      drop(i, s, DecisionMode::kMalformed);
       continue;
     }
     const std::size_t s = shard_of_request(request);
     Shard& shard = shards_[s];
-    if (shard.quarantined) {
+    if (ft.enabled && shard.quarantined) {
       ++shard.shed;
-      placement_.emplace_back(static_cast<std::uint32_t>(s), kInvalidId);
-      modes_.push_back(
-          static_cast<std::uint8_t>(DecisionMode::kQuarantineShed));
+      drop(i, s, DecisionMode::kQuarantineShed);
       continue;
     }
-    if (ft.overload.max_shard_queue > 0 &&
+    if (ft.enabled && ft.overload.max_shard_queue > 0 &&
         shard.pending.size() >= ft.overload.max_shard_queue) {
       ++shard.shed;
-      placement_.emplace_back(static_cast<std::uint32_t>(s), kInvalidId);
-      modes_.push_back(static_cast<std::uint8_t>(DecisionMode::kShed));
+      drop(i, s, DecisionMode::kShed);
       continue;
     }
-    const auto local = static_cast<RequestId>(shard.algorithm->arrivals() +
-                                              shard.pending.size());
+    placement_.emplace_back(
+        static_cast<std::uint32_t>(s),
+        static_cast<RequestId>(local_base[s] + shard.pending.size()));
     shard.pending.push_back(i);
-    placement_.emplace_back(static_cast<std::uint32_t>(s), local);
-    // Provisional; commit_shard_batch overwrites with the mode actually
-    // used (kShed when the degraded rule handled it).
-    modes_.push_back(static_cast<std::uint8_t>(DecisionMode::kEngine));
+    push(s, i);
   }
+  kick_workers();
+  wait_for_workers();
+  const std::exception_ptr first_error = settle_batch(batch, base);
+  pumped_seconds_ += wall.elapsed_s();
+  if (first_error) std::rethrow_exception(first_error);
+  std::vector<bool> accepted(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    accepted[i] = decisions_[i] != 0;
+  }
+  return accepted;
+}
 
-  // Attempt loop: run every busy shard, retry the failed ones with
-  // exponential backoff (rebuilding their algorithms to the committed
-  // pre-batch state first), quarantine the ones that exhaust retries.
-  std::vector<std::size_t> to_run;
+std::exception_ptr AdmissionService::settle_batch(
+    std::span<const Request> batch, std::size_t base) {
+  const FaultToleranceConfig& ft = config_.fault_tolerance;
+  std::vector<std::size_t> running;  // shards in the current attempt
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (!shards_[s].pending.empty()) to_run.push_back(s);
+    if (!shards_[s].pending.empty()) running.push_back(s);
   }
+  std::exception_ptr first_error;
   std::uint64_t jitter_state =
       ft.retry.jitter_seed ^ (static_cast<std::uint64_t>(base) + 1);
-  std::size_t attempt = 0;
-  while (!to_run.empty()) {
-    for (const std::size_t s : to_run) {
+  for (std::size_t attempt = 0; !running.empty(); ++attempt) {
+    std::vector<std::size_t> failed;
+    for (const std::size_t s : running) {
       Shard& shard = shards_[s];
-      shard.error = nullptr;
-      shard.mode_scratch.assign(shard.pending.size(), 0);
-      shard.latency_scratch.clear();
-    }
-    dispatch_ft_attempts(to_run, batch, base, attempt, injector);
-    // Sort survivors from casualties first, then rebuild every casualty to
-    // its committed state in one dispatch — in kRings mode the rebuilds
-    // (factory + log replay) run as parallel lane jobs, so one shard's
-    // replay never blocks a sibling's (DESIGN.md §11.5).
-    std::vector<std::size_t> retry_set;
-    std::vector<std::size_t> quarantine_set;
-    std::vector<std::size_t> rebuild_set;
-    for (const std::size_t s : to_run) {
-      Shard& shard = shards_[s];
-      if (!shard.error) {
+      if (!shard.error || !ft.enabled) {
         commit_shard_batch(s, batch, base);
+        if (!shard.error) continue;
+        // Without fault tolerance the shard keeps the prefix it processed.
+        // Its algorithm never assigned ids to the rest: void their
+        // placements so a later batch cannot alias those local ids onto
+        // the stale entries.
+        if (!first_error) first_error = shard.error;
+        shard.error = nullptr;
+        for (std::size_t j = shard.done; j < shard.pending.size(); ++j) {
+          placement_[base + shard.pending[j]].second = kInvalidId;
+        }
         continue;
       }
+      // The failed attempt commits nothing: its latency samples go too.
       shard.error = nullptr;
       ++shard.task_failures;
-      rebuild_set.push_back(s);
-      if (attempt >= ft.retry.max_retries) {
-        quarantine_set.push_back(s);
-      } else {
-        ++shard.retries;
-        retry_set.push_back(s);
+      if (config_.collect_latencies) {
+        shard.latencies_s.resize(shard.latencies_s.size() - shard.done);
       }
+      failed.push_back(s);
     }
-    dispatch_rebuilds(rebuild_set);
-    for (const std::size_t s : quarantine_set) {
-      // Exhausted retries: the shard is already rolled back to its last
-      // committed state (above); mark it quarantined and shed its share
-      // of this batch.
+    if (failed.empty()) break;
+    // Roll every casualty back to its committed pre-batch state, then
+    // retry those with retries left and quarantine the rest.
+    dispatch_rebuilds(failed);
+    running.clear();
+    for (const std::size_t s : failed) {
       Shard& shard = shards_[s];
+      if (attempt < ft.retry.max_retries) {
+        ++shard.retries;
+        running.push_back(s);
+        continue;
+      }
+      // Exhausted retries: mark the shard quarantined and shed its share
+      // of this batch.
       shard.quarantined = true;
       for (const std::size_t idx : shard.pending) {
         decisions_[idx] = 0;
@@ -621,110 +500,40 @@ std::vector<bool> AdmissionService::submit_batch_ft(
         ++shard.shed;
       }
     }
-    to_run = std::move(retry_set);
-    if (!to_run.empty()) {
-      const double doubling =
-          static_cast<double>(std::uint64_t{1} << std::min<std::size_t>(
-                                  attempt, 30));
-      double delay = std::min(ft.retry.backoff_max_s,
-                              ft.retry.backoff_base_s * doubling);
-      const double u =
-          static_cast<double>(splitmix64(jitter_state) >> 11) * 0x1.0p-53;
-      delay *= 1.0 + ft.retry.jitter * (2.0 * u - 1.0);
-      if (delay > 0.0) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(delay));
-      }
-      ++attempt;
+    if (running.empty()) break;
+    const double doubling = static_cast<double>(
+        std::uint64_t{1} << std::min<std::size_t>(attempt, 30));
+    double delay =
+        std::min(ft.retry.backoff_max_s, ft.retry.backoff_base_s * doubling);
+    const double u =
+        static_cast<double>(splitmix64(jitter_state) >> 11) * 0x1.0p-53;
+    delay *= 1.0 + ft.retry.jitter * (2.0 * u - 1.0);
+    if (delay > 0.0) {
+      std::this_thread::sleep_for(std::chrono::duration<double>(delay));
     }
-  }
-  pumped_seconds_ += wall.elapsed_s();
-
-  std::vector<bool> accepted(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    accepted[i] = decisions_[i] != 0;
-  }
-  return accepted;
-}
-
-void AdmissionService::run_shard_task_ft(std::size_t shard_index,
-                                         std::span<const Request> batch,
-                                         std::size_t base, std::size_t attempt,
-                                         const FaultInjector* injector) {
-  Shard& shard = shards_[shard_index];
-  try {
-    Timer busy;
-    Timer arrival_timer;
-    const OverloadPolicy& overload = config_.fault_tolerance.overload;
-    // Deadline shedding is per-batch: a slow sub-batch degrades its own
-    // tail, the next batch starts fresh.  The budget latch is per-shard
-    // and permanent until a rebuild re-derives it.
-    bool deadline_shed = false;
-    for (std::size_t j = 0; j < shard.pending.size(); ++j) {
-      const std::size_t idx = shard.pending[j];
-      if (injector) {
-        // Probe on the service-global arrival index: it advances even when
-        // the shard sheds, so a healed shard is not doomed to replay the
-        // exact probe pattern that quarantined it.
-        const std::size_t global_arrival = base + idx;
-        switch (injector->probe(shard_index, global_arrival, attempt)) {
-          case FaultAction::kException:
-            throw InjectedFault("injected shard-task fault (shard " +
-                                std::to_string(shard_index) + ", arrival " +
-                                std::to_string(global_arrival) + ", attempt " +
-                                std::to_string(attempt) + ")");
-          case FaultAction::kDelay:
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(injector->delay_seconds()));
-            ++shard.injected_delays;
-            break;
-          case FaultAction::kNone:
-            break;
-        }
-      }
-      if (overload.shard_deadline_s > 0.0 && !deadline_shed &&
-          busy.elapsed_s() > overload.shard_deadline_s) {
-        deadline_shed = true;
-      }
-      const bool shed_this = shard.degraded || deadline_shed;
-      if (config_.collect_latencies) arrival_timer.reset();
-      const ArrivalResult result =
-          shed_this ? shard.algorithm->process_shed(batch[idx])
-                    : shard.algorithm->process(batch[idx]);
-      if (config_.collect_latencies) {
-        shard.latency_scratch.push_back(arrival_timer.elapsed_s());
-      }
-      decisions_[idx] = result.accepted ? 1 : 0;
-      shard.mode_scratch[j] = static_cast<std::uint8_t>(
-          shed_this ? DecisionMode::kShed : DecisionMode::kEngine);
-      if (overload.shed_on_budget && !shard.degraded) {
-        const std::uint64_t budget = augmentation_step_budget(
-            shard.algorithm->arrivals(), graph_.edge_count(),
-            graph_.max_capacity());
-        if (shard.algorithm->augmentation_steps() > budget) {
-          shard.degraded = true;
-        }
-      }
+    // The retry re-pushes the same indices through the same rings.
+    live_attempt_ = attempt + 1;
+    for (const std::size_t s : running) {
+      shards_[s].begin_attempt();
+      for (const std::size_t idx : shards_[s].pending) push(s, idx);
     }
-    shard.busy_seconds += busy.elapsed_s();
-  } catch (...) {
-    shard.error = std::current_exception();
+    kick_workers();
+    wait_for_workers();
   }
+  return first_error;
 }
 
 void AdmissionService::commit_shard_batch(std::size_t shard_index,
                                           std::span<const Request> batch,
                                           std::size_t base) {
   Shard& shard = shards_[shard_index];
-  shard.log.reserve(shard.log.size() + shard.pending.size());
-  for (std::size_t j = 0; j < shard.pending.size(); ++j) {
+  shard.arrivals += shard.done;
+  if (!config_.fault_tolerance.enabled) return;
+  shard.log.reserve(shard.log.size() + shard.done);
+  for (std::size_t j = 0; j < shard.done; ++j) {
     const std::size_t idx = shard.pending[j];
-    shard.log.push_back(LogEntry{batch[idx], shard.mode_scratch[j]});
-    modes_[base + idx] = shard.mode_scratch[j];
+    shard.log.push_back(LogEntry{batch[idx], modes_[base + idx]});
   }
-  shard.arrivals += shard.pending.size();
-  shard.latencies_s.insert(shard.latencies_s.end(),
-                           shard.latency_scratch.begin(),
-                           shard.latency_scratch.end());
 }
 
 void AdmissionService::rebuild_shard(std::size_t shard_index) {
@@ -765,70 +574,18 @@ void AdmissionService::rebuild_shard(std::size_t shard_index) {
   ++shard.restores;
 }
 
-void AdmissionService::dispatch_ft_attempts(
-    const std::vector<std::size_t>& to_run, std::span<const Request> batch,
-    std::size_t base, std::size_t attempt, const FaultInjector* injector) {
-  if (to_run.empty()) return;
-  if (config_.pump == PumpMode::kTasks) {
-    for (const std::size_t s : to_run) {
-      pool_->submit([this, s, batch, base, attempt, injector] {
-        run_shard_task_ft(s, batch, base, attempt, injector);
-      });
-    }
-    pool_->wait_idle();
-    return;
-  }
-  // kRings: post one job per shard to its owning persistent worker.  The
-  // release store into the job slot publishes live_batch_ and the job
-  // parameters; the worker's acquire pairs with it, and its kNone release
-  // store publishes the attempt's results back to this thread's acquire.
-  live_batch_ = batch;
-  for (const std::size_t s : to_run) {
-    Lane& lane = *lanes_[s];
-    lane.job_base = base;
-    lane.job_attempt = attempt;
-    lane.job_injector = injector;
-    lane.job.store(static_cast<std::uint8_t>(JobKind::kFtAttempt),
-                   std::memory_order_release);
-  }
-  kick_workers();
-  wait_for_workers([&] {
-    for (const std::size_t s : to_run) {
-      if (lanes_[s]->job.load(std::memory_order_acquire) !=
-          static_cast<std::uint8_t>(JobKind::kNone)) {
-        return false;
-      }
-    }
-    return true;
-  });
-}
-
 void AdmissionService::dispatch_rebuilds(
     const std::vector<std::size_t>& failed) {
-  if (failed.empty()) return;
-  if (config_.pump == PumpMode::kTasks || failed.size() == 1) {
-    // Serial: the kTasks contract keeps the factory on the caller thread,
-    // and a single rebuild has no siblings to block.
-    for (const std::size_t s : failed) rebuild_shard(s);
-    return;
-  }
+  // The release store into each job slot pairs with the owning worker's
+  // acquire; its release store of false publishes the rebuilt shard to
+  // the completion wait's acquire.
   for (const std::size_t s : failed) {
-    lanes_[s]->job.store(static_cast<std::uint8_t>(JobKind::kRebuild),
-                         std::memory_order_release);
+    lanes_[s]->rebuild.store(true, std::memory_order_release);
   }
   kick_workers();
-  wait_for_workers([&] {
-    for (const std::size_t s : failed) {
-      if (lanes_[s]->job.load(std::memory_order_acquire) !=
-          static_cast<std::uint8_t>(JobKind::kNone)) {
-        return false;
-      }
-    }
-    return true;
-  });
+  wait_for_workers();
   // A rebuild that threw (corrupt checkpoint, factory failure) parked its
-  // exception in shard.error; surface the first one like the serial path
-  // would have.
+  // exception in shard.error; surface the first one.
   std::exception_ptr first_error;
   for (const std::size_t s : failed) {
     if (!shards_[s].error) continue;
@@ -886,8 +643,6 @@ void AdmissionService::restore_shard(std::size_t shard) {
 }
 
 std::vector<std::uint8_t> AdmissionService::snapshot() const {
-  MINREJ_REQUIRE(!config_.lca_reconcile,
-                 "snapshot() does not cover the LCA reconcile lane");
   for (const Shard& shard : shards_) {
     MINREJ_REQUIRE(shard.algorithm->snapshot_supported(),
                    "snapshot() requires every shard algorithm to support "
@@ -935,33 +690,35 @@ std::vector<std::uint8_t> AdmissionService::snapshot() const {
 void AdmissionService::restore(std::span<const std::uint8_t> blob) {
   MINREJ_REQUIRE(placement_.empty(),
                  "restore() requires a freshly constructed service");
-  MINREJ_REQUIRE(!config_.lca_reconcile,
-                 "restore() does not cover the LCA reconcile lane");
   SnapshotReader r(blob, kServiceSnapshotKind);
   MINREJ_REQUIRE(r.version() == kServiceSnapshotVersion,
                  "unsupported service snapshot version");
   r.expect_tag("SRVC");
-  const std::uint64_t source_shards = r.u64();
+  const std::size_t source_shards = read_count(r, 1);
   MINREJ_REQUIRE(r.u64() == graph_.edge_count(),
                  "snapshot was taken on a graph with a different edge count");
   MINREJ_REQUIRE(r.u64() == capacity_fingerprint(graph_),
                  "snapshot was taken on a graph with different capacities");
   const bool has_log = r.boolean();
-  const std::uint64_t arrival_count = r.u64();
+  const std::size_t arrival_count = read_count(r, 8);  // u32 shard + u32 id
   std::vector<std::pair<std::uint32_t, RequestId>> placements;
-  placements.reserve(static_cast<std::size_t>(arrival_count));
-  for (std::uint64_t i = 0; i < arrival_count; ++i) {
+  placements.reserve(arrival_count);
+  for (std::size_t i = 0; i < arrival_count; ++i) {
     const std::uint32_t shard = r.u32();
     const RequestId local = r.u32();
     placements.emplace_back(shard, local);
   }
   std::vector<std::uint8_t> modes = r.vec<std::uint8_t>();
+  MINREJ_REQUIRE(modes.size() <= arrival_count,
+                 "snapshot records more decision modes than arrivals");
 
   if (source_shards == shards_.size()) {
     // Same shard count: load every shard's algorithm snapshot directly.
-    // The continuation is bit-identical to the uninterrupted run.
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      Shard& shard = shards_[s];
+    // The continuation is bit-identical to the uninterrupted run.  Parsed
+    // into fresh shards and validated before anything is applied.
+    std::vector<Shard> restored(shards_.size());
+    for (std::size_t s = 0; s < restored.size(); ++s) {
+      Shard& shard = restored[s];
       r.expect_tag("SHRD");
       shard.arrivals = static_cast<std::size_t>(r.u64());
       shard.task_failures = static_cast<std::size_t>(r.u64());
@@ -972,10 +729,9 @@ void AdmissionService::restore(std::span<const std::uint8_t> blob) {
       shard.injected_delays = static_cast<std::size_t>(r.u64());
       shard.quarantined = r.boolean();
       shard.degraded = r.boolean();
-      const std::uint64_t log_size = r.u64();
-      shard.log.clear();
-      shard.log.reserve(static_cast<std::size_t>(log_size));
-      for (std::uint64_t j = 0; j < log_size; ++j) {
+      const std::size_t log_size = read_count(r, 1);
+      shard.log.reserve(log_size);
+      for (std::size_t j = 0; j < log_size; ++j) {
         LogEntry entry;
         entry.request.edges = r.vec<EdgeId>();
         entry.request.cost = r.f64();
@@ -984,14 +740,24 @@ void AdmissionService::restore(std::span<const std::uint8_t> blob) {
         shard.log.push_back(std::move(entry));
       }
       const std::vector<std::uint8_t> algo_blob = r.blob();
-      std::unique_ptr<OnlineAdmissionAlgorithm> fresh = factory_(graph_, s);
-      MINREJ_CHECK(fresh != nullptr, "factory returned a null algorithm");
+      shard.algorithm = factory_(graph_, s);
+      MINREJ_CHECK(shard.algorithm != nullptr,
+                   "factory returned a null algorithm");
       SnapshotReader algo(algo_blob, kAlgorithmSnapshotKind);
-      fresh->load_snapshot(algo);
+      shard.algorithm->load_snapshot(algo);
       algo.expect_end();
-      shard.algorithm = std::move(fresh);
     }
     r.expect_end();
+    for (const auto& [shard, local] : placements) {
+      MINREJ_REQUIRE(shard < restored.size() &&
+                         (local == kInvalidId ||
+                          local < restored[shard].algorithm->arrivals()),
+                     "snapshot placement names a shard or request id the "
+                     "snapshot does not hold");
+    }
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      shards_[s] = std::move(restored[s]);
+    }
     placement_ = std::move(placements);
     modes_ = std::move(modes);
     return;
@@ -1004,16 +770,15 @@ void AdmissionService::restore(std::span<const std::uint8_t> blob) {
   MINREJ_REQUIRE(has_log,
                  "reshard-on-restore needs the source service's arrival log "
                  "(fault tolerance was disabled when the snapshot was taken)");
-  std::vector<std::vector<Request>> logs(
-      static_cast<std::size_t>(source_shards));
-  for (std::uint64_t s = 0; s < source_shards; ++s) {
+  std::vector<std::vector<Request>> logs(source_shards);
+  for (std::size_t s = 0; s < source_shards; ++s) {
     r.expect_tag("SHRD");
     for (int skip = 0; skip < 7; ++skip) r.u64();  // counters
     r.boolean();  // quarantined
     r.boolean();  // degraded
-    const std::uint64_t log_size = r.u64();
-    logs[s].reserve(static_cast<std::size_t>(log_size));
-    for (std::uint64_t j = 0; j < log_size; ++j) {
+    const std::size_t log_size = read_count(r, 1);
+    logs[s].reserve(log_size);
+    for (std::size_t j = 0; j < log_size; ++j) {
       Request request;
       request.edges = r.vec<EdgeId>();
       request.cost = r.f64();
@@ -1065,7 +830,6 @@ bool AdmissionService::is_accepted(std::size_t arrival_index) const {
   const auto [shard, local] = placement(arrival_index);
   MINREJ_REQUIRE(local != kInvalidId,
                  "arrival was never processed (its shard failed mid-batch)");
-  if (shard == kLcaLane) return lca_algorithm_->is_accepted(local);
   return shards_[shard].algorithm->is_accepted(local);
 }
 
@@ -1074,22 +838,7 @@ std::pair<std::size_t, RequestId> AdmissionService::placement(
   MINREJ_REQUIRE(arrival_index < placement_.size(),
                  "arrival index out of range");
   const auto& [shard, local] = placement_[arrival_index];
-  if (shard == kLcaShardMarker) return {kLcaLane, local};
   return {static_cast<std::size_t>(shard), local};
-}
-
-const OnlineAdmissionAlgorithm& AdmissionService::lca_algorithm() const {
-  MINREJ_REQUIRE(lca_algorithm_ != nullptr,
-                 "lca_algorithm() requires ServiceConfig::lca_reconcile");
-  return *lca_algorithm_;
-}
-
-std::size_t AdmissionService::lca_arrivals() const noexcept {
-  return lca_algorithm_ ? lca_algorithm_->arrivals() : 0;
-}
-
-std::size_t AdmissionService::lca_speculation_hits() const noexcept {
-  return lca_speculation_hits_;
 }
 
 const OnlineAdmissionAlgorithm& AdmissionService::shard_algorithm(
@@ -1156,19 +905,6 @@ ServiceStats AdmissionService::aggregate() const {
     stats.injected_delays += shard.injected_delays;
     if (shard.quarantined) ++stats.quarantined_shards;
     if (shard.degraded) ++stats.degraded_shards;
-  }
-  if (lca_algorithm_) {
-    // Fold the reconcile lane into the totals (it owns real arrivals) and
-    // report it separately too.
-    const std::size_t lane_arrivals = lca_algorithm_->arrivals();
-    const std::size_t lane_rejected = lca_algorithm_->rejected_count();
-    stats.arrivals += lane_arrivals;
-    stats.rejected += lane_rejected;
-    stats.accepted += lane_arrivals - lane_rejected;
-    stats.rejected_cost += lca_algorithm_->rejected_cost();
-    stats.augmentation_steps += lca_algorithm_->augmentation_steps();
-    stats.lca_arrivals = lane_arrivals;
-    stats.lca_speculation_hits = lca_speculation_hits_;
   }
   if (!latencies.empty()) {
     // Sorting the merged samples before taking quantiles makes the result

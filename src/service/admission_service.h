@@ -8,8 +8,9 @@
 // arXiv:1205.1312): the edge set is partitioned into K *shards*, each
 // shard owns a full, independent algorithm instance over the same graph,
 // and every arriving request is routed to the shard of its first (lowest)
-// edge.  Batches of arrivals are pumped through the util/thread_pool —
-// one sequential task per shard per batch — so shard trajectories are
+// edge.  The routing thread streams each arrival's batch index into its
+// shard's lock-free ring, and a persistent worker per group of shards
+// drains the rings (DESIGN.md §11) — so shard trajectories are
 // deterministic regardless of scheduling: shard s always sees exactly the
 // subsequence of arrivals routed to it, in arrival order.
 //
@@ -27,14 +28,14 @@
 // for why this is the documented relaxation rather than an error.
 //
 // Fault tolerance (DESIGN.md §9): with ServiceConfig::fault_tolerance
-// enabled the pump validates arrivals before they reach an algorithm,
-// retries failed shard tasks with exponential backoff, quarantines a shard
-// whose retries are exhausted (rebuilding it to its last committed state),
-// applies backpressure and load-shedding under overload, and keeps a
-// per-shard committed arrival log that — together with the snapshot layer
-// (io/snapshot.h) — supports snapshot(), restore(), checkpoint() and
-// restore_shard().  All of it is behind one branch in submit_batch: a
-// service with fault tolerance disabled runs the exact pre-existing code.
+// enabled the routing loop validates arrivals before they reach an
+// algorithm and applies quarantine and queue-cap shedding; failed shard
+// attempts are rebuilt to their last committed state and retried through
+// the same rings with exponential backoff, and a shard whose retries are
+// exhausted is quarantined.  A per-shard committed arrival log — together
+// with the snapshot layer (io/snapshot.h) — supports snapshot(),
+// restore(), checkpoint() and restore_shard().  The routing loop, the
+// per-arrival loop and the failure epilogue are shared by both modes.
 #pragma once
 
 #include <atomic>
@@ -53,7 +54,7 @@
 #include "core/online_admission.h"
 #include "graph/request.h"
 #include "util/spsc_ring.h"
-#include "util/thread_pool.h"
+#include "util/timer.h"
 
 namespace minrej {
 
@@ -93,9 +94,9 @@ struct OverloadPolicy {
   /// Max arrivals queued per shard per batch; overflow is shed at routing
   /// (backpressure — the closed-loop clients re-arrive them).  0 = off.
   std::size_t max_shard_queue = 0;
-  /// Per-batch processing deadline per shard; once a shard task exceeds
-  /// it, the rest of its sub-batch runs through the degraded threshold
-  /// rule (process_shed).  Timing-dependent, hence opt-in and excluded
+  /// Processing deadline per (shard, attempt) of a batch; once a shard's
+  /// processing time in the attempt exceeds it, the rest of its sub-batch
+  /// runs through the degraded threshold rule (process_shed).  Timing-dependent, hence opt-in and excluded
   /// from the determinism contract.  0 = off.
   double shard_deadline_s = 0.0;
   /// Latch a shard into degraded mode once its augmentation steps exceed
@@ -103,8 +104,8 @@ struct OverloadPolicy {
   bool shed_on_budget = false;
 };
 
-/// Master switch plus policies.  Disabled (the default) costs one branch
-/// per submit_batch; nothing else changes.
+/// Master switch plus policies.  Disabled (the default) costs a few
+/// predictable branches per arrival; nothing else changes.
 struct FaultToleranceConfig {
   bool enabled = false;
   RetryPolicy retry;
@@ -119,30 +120,21 @@ struct FaultToleranceConfig {
 /// only the traffic is partitioned).  The shard index lets factories
 /// derive per-shard seeds.
 ///
-/// With PumpMode::kRings the factory may additionally be invoked from
-/// worker threads (parallel committed-log rebuild after a shard failure),
-/// possibly for several shards at once — it must be thread-safe.  The
+/// The factory may additionally be invoked from worker threads (parallel
+/// committed-log rebuild after a fault-tolerant shard failure), possibly
+/// for several shards at once — it must be thread-safe.  The
 /// stock factories (randomized_shard_factory and the test factories) are:
 /// they capture only values and construct fresh objects.
 using ShardAlgorithmFactory =
     std::function<std::unique_ptr<OnlineAdmissionAlgorithm>(
         const Graph& graph, std::size_t shard)>;
 
-/// How submit_batch distributes shard work (DESIGN.md §11).
-enum class PumpMode : std::uint8_t {
-  /// One sequential task per busy shard per batch on a util/thread_pool —
-  /// the original pump.  Per-batch cost: one queue lock + one
-  /// std::function allocation per busy shard, plus a full pool wake/idle
-  /// cycle per batch.
-  kTasks = 0,
-  /// Persistent per-shard workers fed by bounded lock-free SPSC rings
-  /// (util/spsc_ring.h): the routing thread is the single producer of
-  /// every ring, shard s is consumed by worker s mod W only.  Workers
-  /// outlive batches, so steady-state pumping touches no mutex and no
-  /// allocator.  Decision streams are bit-identical to kTasks for every
-  /// worker count (the §11.2 determinism contract).
-  kRings = 1,
-};
+/// The service's one pump (DESIGN.md §11): persistent per-shard workers
+/// fed by bounded lock-free SPSC rings (util/spsc_ring.h).  The routing
+/// thread is the single producer of every ring; shard s is consumed by
+/// worker s mod W only.  It has a single value, kept only because the
+/// benchmark driver (perfbench/driver.cpp) assigns ServiceConfig::pump.
+enum class PumpMode : std::uint8_t { kRings };
 
 /// Service knobs.
 struct ServiceConfig {
@@ -150,7 +142,9 @@ struct ServiceConfig {
   std::size_t shards = 1;
   /// Arrivals per pump in run(); submit_batch takes what it is given.
   std::size_t batch = 256;
-  /// Worker threads; 0 selects one per shard (capped at hardware).
+  /// Ring workers; 0 selects one per shard (capped at hardware).  Each
+  /// shard's ring holds max(1024, batch) indices (rounded up to a power of
+  /// two); a full ring makes the routing thread wait, never fail.
   std::size_t threads = 0;
   /// Record per-arrival processing latency (two clock reads per arrival
   /// inside the shard task).  Off by default, same rationale as
@@ -163,23 +157,8 @@ struct ServiceConfig {
   std::function<std::size_t(EdgeId)> partition;
   /// Fault-tolerance layer (DESIGN.md §9).  Off by default.
   FaultToleranceConfig fault_tolerance;
-  /// Pump implementation (DESIGN.md §11).  Decision streams are identical
-  /// across modes and worker counts; only the scheduling differs.
-  PumpMode pump = PumpMode::kTasks;
-  /// Ring capacity per shard in kRings mode, rounded up to a power of two
-  /// (0 selects max(1024, batch)).  The routing thread spin-yields on a
-  /// full ring, so this is purely a throughput knob, never a correctness
-  /// one.
-  std::size_t ring_capacity = 0;
-  /// Divert requests whose edges span multiple shards to a sequential
-  /// reconcile lane instead of their first-edge owner (DESIGN.md §11.4):
-  /// the owning shard answers speculatively from its local view
-  /// (would_overflow on the request's edges), then a dedicated reconcile
-  /// engine decides authoritatively in arrival order.  Removes the §6.1
-  /// cross-shard oversubscription relaxation at the price of serializing
-  /// cross-shard traffic.  Incompatible with fault_tolerance and
-  /// snapshot/restore (checked).
-  bool lca_reconcile = false;
+  /// The pump (see PumpMode).  Its only value is the default.
+  PumpMode pump = PumpMode::kRings;
 };
 
 /// Counters for one shard.  accepted/rejected/rejected_cost/augmentations
@@ -246,13 +225,6 @@ struct ServiceStats {
   std::size_t injected_delays = 0;
   std::size_t quarantined_shards = 0;
   std::size_t degraded_shards = 0;
-  /// LCA reconcile lane (ServiceConfig::lca_reconcile): cross-shard
-  /// arrivals diverted to the sequential reconcile engine, and how many of
-  /// them the owning shard's speculative local answer agreed with.  The
-  /// lane's arrivals/accepted/rejected/rejected_cost are already folded
-  /// into the totals above.
-  std::size_t lca_arrivals = 0;
-  std::size_t lca_speculation_hits = 0;
 
   double arrivals_per_sec() const noexcept {
     return seconds > 0.0 ? static_cast<double>(arrivals) / seconds : 0.0;
@@ -280,24 +252,19 @@ ShardAlgorithmFactory randomized_shard_factory(bool unit_costs,
 class AdmissionService {
  public:
   /// Builds `config.shards` algorithm instances via `factory` (each must
-  /// be constructed on `graph` — checked) and spins up the worker pool.
+  /// be constructed on `graph` — checked) and starts the ring workers.
   AdmissionService(const Graph& graph, ShardAlgorithmFactory factory,
                    ServiceConfig config = {});
 
-  /// Joins the persistent ring workers (PumpMode::kRings).  Legal only
-  /// between batches — like every other member, submit_batch must not be
-  /// in flight.
+  /// Joins the ring workers.  Legal only between batches — like every
+  /// other member, submit_batch must not be in flight.
   ~AdmissionService();
 
   AdmissionService(const AdmissionService&) = delete;
   AdmissionService& operator=(const AdmissionService&) = delete;
 
-  /// Worker threads actually pumping shards: persistent ring workers in
-  /// kRings mode, pool threads in kTasks mode.
-  std::size_t worker_count() const noexcept;
-
-  /// placement().first for arrivals handled by the LCA reconcile lane.
-  static constexpr std::size_t kLcaLane = static_cast<std::size_t>(-1);
+  /// Ring worker threads pumping the shards.
+  std::size_t worker_count() const noexcept { return ring_workers_.size(); }
 
   /// The default partition: splitmix64 hash of the edge id, mod K.
   static std::size_t hash_edge_to_shard(EdgeId e,
@@ -308,14 +275,15 @@ class AdmissionService {
   /// Shard of the request's first (lowest — edge lists are sorted) edge.
   std::size_t shard_of_request(const Request& request) const;
 
-  /// Pumps one batch through the shards: requests are split by shard in
-  /// input order, each shard's sub-batch runs as one sequential task on
-  /// the pool, and the per-request admission decisions come back in input
-  /// order.  On a shard failure the batch drains first, the failing
-  /// shard's unprocessed arrivals get their placements voided (their
-  /// is_accepted throws instead of aliasing a later request), and the
-  /// first failure (by shard index) is rethrown; healthy shards keep
-  /// their results and the service remains usable.
+  /// Pumps one batch through the shards: requests are routed in input
+  /// order and streamed into their shards' rings, each shard's worker
+  /// processes its sub-batch sequentially, and the per-request admission
+  /// decisions come back in input order.  On a shard failure (fault
+  /// tolerance off) the batch drains first, the failing shard's
+  /// unprocessed arrivals get their placements voided (their is_accepted
+  /// throws instead of aliasing a later request), and the first failure
+  /// (by shard index) is rethrown; healthy shards keep their results and
+  /// the service remains usable.
   std::vector<bool> submit_batch(std::span<const Request> batch);
 
   /// Pumps the whole instance through submit_batch in config.batch slices
@@ -335,16 +303,6 @@ class AdmissionService {
   std::pair<std::size_t, RequestId> placement(std::size_t arrival_index) const;
 
   const OnlineAdmissionAlgorithm& shard_algorithm(std::size_t shard) const;
-
-  // --- LCA reconcile lane (ServiceConfig::lca_reconcile; DESIGN.md §11.4) ---
-
-  /// The reconcile-lane engine (requires lca_reconcile).
-  const OnlineAdmissionAlgorithm& lca_algorithm() const;
-  /// Cross-shard arrivals diverted to the reconcile lane so far.
-  std::size_t lca_arrivals() const noexcept;
-  /// How many diverted arrivals the owning shard's speculative local
-  /// answer (would_overflow on its own view) agreed with.
-  std::size_t lca_speculation_hits() const noexcept;
 
   /// Snapshot of one shard's counters.
   ShardStats shard_stats(std::size_t shard) const;
@@ -378,7 +336,8 @@ class AdmissionService {
   /// requires the source to have kept logs (fault tolerance enabled),
   /// no shed/malformed arrivals, and engine-mode-only trajectories; the
   /// decisions match the source for shard-disjoint deterministic traffic
-  /// (DESIGN.md §6.1/§9).
+  /// (DESIGN.md §6.1/§9).  Counts and placements are bounds-checked, so
+  /// hostile bytes fail with InvalidArgument.
   void restore(std::span<const std::uint8_t> blob);
 
   /// Captures an in-memory per-shard recovery point (algorithm snapshot +
@@ -400,21 +359,25 @@ class AdmissionService {
     std::uint8_t mode = 0;  // DecisionMode::kEngine or kShed
   };
 
-  /// alignas: in kRings mode a shard's fields (arrivals, busy time,
-  /// latencies, error) are written by its owning worker while sibling
-  /// workers write the neighbouring shards — cache-line alignment keeps
-  /// those writes from false-sharing one line (§11.3 audit).
+  /// alignas: a shard's fields (arrivals, busy time, latencies, error)
+  /// are written by its owning worker while sibling workers write the
+  /// neighbouring shards — cache-line alignment keeps those writes from
+  /// false-sharing one line (§11.4).
   struct alignas(kCacheLineBytes) Shard {
     std::unique_ptr<OnlineAdmissionAlgorithm> algorithm;
-    std::size_t arrivals = 0;
+    std::size_t arrivals = 0;  // committed arrivals
     double busy_seconds = 0.0;
     std::vector<double> latencies_s;
     std::vector<std::size_t> pending;  // batch indices, reused per batch
+    // Per-attempt state, reset by the routing thread (begin_attempt)
+    // before the attempt's first push and written by the owning worker
+    // during it.
     std::exception_ptr error;
+    std::size_t done = 0;         // pending arrivals processed so far
+    double attempt_busy_s = 0.0;  // processing time, for the deadline
+    bool deadline_shed = false;   // OverloadPolicy::shard_deadline_s tripped
     // Fault-tolerance state (untouched when the layer is disabled).
     std::vector<LogEntry> log;         // committed arrivals, id order
-    std::vector<std::uint8_t> mode_scratch;    // per-batch, parallels pending
-    std::vector<double> latency_scratch;       // committed only on success
     std::vector<std::uint8_t> checkpoint_blob; // last checkpoint() snapshot
     std::size_t checkpoint_log_len = 0;
     bool checkpoint_degraded = false;
@@ -426,82 +389,81 @@ class AdmissionService {
     std::size_t shed = 0;
     std::size_t malformed = 0;
     std::size_t injected_delays = 0;
+
+    void begin_attempt() noexcept {
+      error = nullptr;
+      done = 0;
+      attempt_busy_s = 0.0;
+      deadline_shed = false;
+    }
   };
 
-  /// Per-shard ingest lane for the kRings pump (DESIGN.md §11.1).  The
-  /// hot cross-thread state: the routing thread produces batch indices
-  /// into `ring`, the owning worker consumes them and publishes progress
-  /// through `consumed`.  alignas on the struct plus per-field alignas
-  /// keeps producer-written, consumer-written and job state on disjoint
-  /// cache lines (§11.3).
+  /// Per-shard ingest lane (DESIGN.md §11.1).  The hot cross-thread
+  /// state: the routing thread produces batch indices into `ring`, the
+  /// owning worker consumes them and publishes progress through
+  /// `consumed`.  alignas on the struct plus per-field alignas keeps
+  /// producer-written, consumer-written and job state on disjoint cache
+  /// lines (§11.4).
   struct alignas(kCacheLineBytes) Lane {
     /// Batch indices of this shard's arrivals, produced in arrival order.
     SpscRing<std::uint32_t> ring;
-    /// Cumulative fast-path arrivals consumed by the owning worker.  One
-    /// release fetch_add per processed chunk; the routing thread's acquire
-    /// load is the batch-completion barrier that publishes every shard
-    /// field the worker wrote (decisions, latencies, busy time, errors).
+    /// Indices pushed into `ring` so far (routing thread only).
+    alignas(kCacheLineBytes) std::uint64_t pushed = 0;
+    /// Cumulative indices consumed by the owning worker.  One release
+    /// fetch_add per processed chunk; the routing thread's acquire load
+    /// is the completion barrier that publishes every shard field the
+    /// worker wrote (decisions, modes, latencies, busy time, errors).
     alignas(kCacheLineBytes) std::atomic<std::uint64_t> consumed{0};
-    /// Job slot for the fault-tolerant pump: the routing thread publishes
-    /// the parameters below with the release store into `job` (a JobKind);
-    /// the worker acquires, runs, and release-stores kNone when done.
-    alignas(kCacheLineBytes) std::atomic<std::uint8_t> job{0};
-    std::size_t job_base = 0;
-    std::size_t job_attempt = 0;
-    const FaultInjector* job_injector = nullptr;
+    /// Rebuild job slot: the routing thread release-stores true, the
+    /// worker acquires, rebuilds the shard, and release-stores false.
+    alignas(kCacheLineBytes) std::atomic<bool> rebuild{false};
 
     explicit Lane(std::size_t capacity) : ring(capacity) {}
   };
 
-  enum class JobKind : std::uint8_t { kNone = 0, kFtAttempt = 1, kRebuild = 2 };
-
-  // --- kRings pump internals (DESIGN.md §11) ---
-  std::vector<bool> submit_batch_rings(std::span<const Request> batch);
+  // --- pump internals (DESIGN.md §11) ---
   void start_workers();
   void stop_workers();
   void worker_loop(std::size_t worker, std::size_t worker_total);
-  /// Consumes up to one chunk from shard s's ring; returns true if it did
-  /// any work.  Runs on the owning worker only.
+  /// Runs up to one chunk of shard s's ring through the per-arrival loop;
+  /// returns true if it did any work.  Runs on the owning worker only.
   bool drain_lane(std::size_t s);
-  /// Runs shard s's posted job slot if any; returns true if it did.
+  /// The per-arrival loop's fault-tolerance steps, kept off its hot path:
+  /// injector probe and deadline (returns "shed") before, mode record and
+  /// budget latch after.
+  bool before_ft_arrival(std::size_t s, std::size_t idx, const Timer& busy);
+  void after_ft_arrival(Shard& shard, std::size_t idx, bool shed);
+  /// Runs shard s's posted rebuild job if any; returns true if it did.
   bool run_lane_job(std::size_t s);
+  /// Pushes batch index `idx` into shard s's ring, yielding while full.
+  void push(std::size_t s, std::size_t idx);
   /// Bumps the wake epoch under the pump mutex so sleeping workers
-  /// re-poll.  The only lock the rings path takes, and only when a worker
-  /// may be asleep.
+  /// re-poll.  The only lock the pump takes, and only when a worker may
+  /// be asleep.
   void kick_workers();
-  /// Blocks the routing thread until pred() holds: bounded spin-yield,
-  /// then timed condvar waits (workers notify cv_done_ after progress).
-  void wait_for_workers(const std::function<bool()>& pred);
+  /// True when every lane consumed everything pushed and holds no job.
+  bool lanes_quiescent() const;
+  /// Blocks the routing thread until lanes_quiescent(): bounded
+  /// spin-yield, then timed condvar waits (workers notify cv_done_ after
+  /// progress).
+  void wait_for_workers();
 
-  // --- fault-tolerant dispatch, shared by both pump modes ---
-  /// Runs one FT attempt for every shard in `to_run`: pool tasks in
-  /// kTasks mode, lane jobs on the persistent workers in kRings mode.
-  void dispatch_ft_attempts(const std::vector<std::size_t>& to_run,
-                            std::span<const Request> batch, std::size_t base,
-                            std::size_t attempt, const FaultInjector* injector);
-  /// Rebuilds every listed shard to its committed state: serially on the
-  /// caller in kTasks mode, as parallel lane jobs in kRings mode — one
-  /// shard's log replay must not block its siblings (DESIGN.md §11.5).
-  void dispatch_rebuilds(const std::vector<std::size_t>& failed);
-
-  // --- LCA reconcile lane (DESIGN.md §11.4) ---
-  /// True when the request's edges span more than one shard.
-  bool request_crosses_shards(const Request& request) const;
-  /// Drains lca_pending_ through the reconcile engine in arrival order,
-  /// scoring each owning shard's speculative local answer.  Runs on the
-  /// routing thread after the batch's shard work has completed.
-  void reconcile_lca_pending(std::span<const Request> batch,
-                             std::size_t base);
-
-  std::vector<bool> submit_batch_ft(std::span<const Request> batch);
-  /// Body of one fault-tolerant shard task (runs on the pool).
-  void run_shard_task_ft(std::size_t shard, std::span<const Request> batch,
-                         std::size_t base, std::size_t attempt,
-                         const FaultInjector* injector);
-  /// Appends a successful sub-batch to the shard's log and commits its
-  /// scratch (modes, latencies, arrival count).
+  // --- failure epilogue ---
+  /// Settles every shard that received arrivals this batch: commits what
+  /// succeeded; without fault tolerance voids a failed shard's
+  /// unprocessed placements and returns the first error by shard index;
+  /// with it, rebuilds failed shards, retries them through the rings with
+  /// backoff and quarantines those that exhaust their retries.
+  std::exception_ptr settle_batch(std::span<const Request> batch,
+                                  std::size_t base);
+  /// Commits the shard's processed prefix of this batch: arrival count
+  /// and, under fault tolerance, the committed log.
   void commit_shard_batch(std::size_t shard, std::span<const Request> batch,
                           std::size_t base);
+  /// Rebuilds every listed shard as parallel lane jobs — one shard's log
+  /// replay must not block its siblings (DESIGN.md §11.5) — and rethrows
+  /// the first rebuild error.
+  void dispatch_rebuilds(const std::vector<std::size_t>& failed);
   /// Rebuilds the shard's algorithm to its last committed state: fresh
   /// factory instance, checkpoint load when available, log replay for the
   /// rest (re-deriving the budget latch deterministically).
@@ -512,40 +474,34 @@ class AdmissionService {
   ShardAlgorithmFactory factory_;
   ServiceConfig config_;
   std::vector<Shard> shards_;
-  /// kTasks mode only; kRings never constructs a pool.
-  std::unique_ptr<ThreadPool> pool_;
-  /// kRings mode only: one lane per shard (unique_ptr — lanes hold atomics
-  /// and a ring, neither movable) and the persistent workers.  Shard s is
-  /// owned by worker s mod ring_workers_.size().
+  /// One lane per shard (unique_ptr — lanes hold atomics and a ring,
+  /// neither movable) and the persistent workers.  Shard s is owned by
+  /// worker s mod ring_workers_.size().
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::vector<std::thread> ring_workers_;
-  /// The batch currently being pumped.  Written by the routing thread
-  /// before any ring push / job post of the batch; workers read it only
-  /// after a successful pop / job acquire, so the ring's release/acquire
-  /// edge publishes it (§11.2 memory-order contract).
+  /// The batch currently being pumped, its first global arrival index
+  /// and the current attempt (fault tolerance retries).  Written by the
+  /// routing thread before any ring push of the batch or attempt; workers
+  /// read them only after a successful pop, so the ring's release/acquire
+  /// edge publishes them (§11.3 memory-order contract).
   std::span<const Request> live_batch_;
-  /// Sleep/wake plumbing for the rings pump.  Workers spin-poll between
-  /// batches for a bounded grace period, then wait on cv_wake_ with a
-  /// short timeout; wake_epoch_ bumps (kick_workers) cut the latency of
-  /// the common case.  The timeout makes a lost wakeup cost microseconds,
-  /// never a deadlock.
+  std::size_t live_base_ = 0;
+  std::size_t live_attempt_ = 0;
+  /// Sleep/wake plumbing.  Workers spin-poll between batches for a
+  /// bounded grace period, then wait on cv_wake_ with a short timeout;
+  /// wake_epoch_ bumps (kick_workers) cut the latency of the common case.
+  /// The timeout makes a lost wakeup cost microseconds, never a deadlock.
   std::mutex pump_mu_;
   std::condition_variable cv_wake_;
   std::condition_variable cv_done_;
   std::uint64_t wake_epoch_ = 0;  // guarded by pump_mu_
   bool stop_workers_ = false;     // guarded by pump_mu_
-  /// LCA reconcile lane (lca_reconcile only).
-  std::unique_ptr<OnlineAdmissionAlgorithm> lca_algorithm_;
-  std::vector<std::size_t> lca_pending_;  // batch indices, reused per batch
-  std::size_t lca_speculation_hits_ = 0;
-  /// arrival index → (shard, shard-local request id).  kLcaShardMarker in
-  /// the shard slot flags reconcile-lane arrivals (placement() maps it to
-  /// kLcaLane).
-  static constexpr std::uint32_t kLcaShardMarker = 0xFFFFFFFFu;
+  /// arrival index → (shard, shard-local request id).
   std::vector<std::pair<std::uint32_t, RequestId>> placement_;
-  /// arrival index → DecisionMode (only under fault tolerance).
+  /// arrival index → DecisionMode (only under fault tolerance).  Sized
+  /// before a batch's first push: workers write it by index mid-batch.
   std::vector<std::uint8_t> modes_;
-  /// Per-batch decision scratch (uint8_t, not vector<bool>: shard tasks
+  /// Per-batch decision scratch (uint8_t, not vector<bool>: workers
   /// write disjoint elements concurrently and vector<bool> packs bits).
   std::vector<std::uint8_t> decisions_;
   double pumped_seconds_ = 0.0;

@@ -16,6 +16,7 @@
 #include "io/snapshot.h"
 #include "service/admission_service.h"
 #include "sim/workloads.h"
+#include "test_util.h"
 #include "util/check.h"
 #include "util/fault_injector.h"
 #include "util/rng.h"
@@ -308,6 +309,66 @@ TEST(ServiceSnapshot, ReshardWithoutALogIsRejected) {
   EXPECT_THROW(resharded.restore(blob), InvalidArgument);
 }
 
+/// Overwrites `width` little-endian bytes at `offset` of a service
+/// snapshot's payload with `value` and re-seals the container (fresh
+/// FNV-1a 64 checksum), so the tampered field gets past the container
+/// check and reaches AdmissionService::restore's own parser — the shape of
+/// a hostile or buggy producer, not of transport corruption.
+std::vector<std::uint8_t> reseal_tampered(std::vector<std::uint8_t> blob,
+                                          std::size_t offset,
+                                          std::uint64_t value,
+                                          std::size_t width) {
+  // Container header: magic, u32 container version, u64-prefixed kind,
+  // u32 stream version, u64 payload size, u64 payload checksum.
+  const std::size_t payload_at =
+      4 + 4 + 8 + std::string("minrej.service").size() + 4 + 8 + 8;
+  for (std::size_t b = 0; b < width; ++b) {
+    blob.at(payload_at + offset + b) =
+        static_cast<std::uint8_t>(value >> (8 * b));
+  }
+  const std::uint64_t checksum = fnv1a64(
+      std::span<const std::uint8_t>(blob).subspan(payload_at));
+  for (std::size_t b = 0; b < 8; ++b) {
+    blob[payload_at - 8 + b] = static_cast<std::uint8_t>(checksum >> (8 * b));
+  }
+  return blob;
+}
+
+TEST(ServiceSnapshot, RestoreRejectsHostileCountsAndPlacements) {
+  // Payload layout: "SRVC", u64 shards @4, u64 edges @12, u64 capacity
+  // fingerprint @20, bool has_log @28, u64 arrival count @29, then one
+  // (u32 shard, u32 local id) pair per arrival from @37, the u64-prefixed
+  // decision modes (8 bytes each), and per shard "SHRD", 7 u64 counters,
+  // 2 bools and the u64 log size.
+  const AdmissionInstance inst = make_mixed_instance(20, 21);
+  ServiceConfig cfg;
+  cfg.shards = 2;
+  cfg.fault_tolerance.enabled = true;  // logs + modes in the snapshot
+  AdmissionService source(inst.graph(), greedy_factory(), cfg);
+  pump(source, inst, 0, 20, 8);
+  const std::vector<std::uint8_t> blob = source.snapshot();
+  const std::size_t n = source.arrivals();
+  const std::size_t first_log_size = 37 + 8 * n + 8 + 8 * n + 4 + 7 * 8 + 2;
+  const auto restore_throws = [&](std::size_t offset, std::uint64_t value,
+                                  std::size_t width) {
+    AdmissionService fresh(inst.graph(), greedy_factory(), cfg);
+    EXPECT_THROW(fresh.restore(reseal_tampered(blob, offset, value, width)),
+                 InvalidArgument)
+        << "offset " << offset << " value " << value;
+  };
+  // The untampered re-seal restores cleanly (the offsets are right).
+  AdmissionService control(inst.graph(), greedy_factory(), cfg);
+  control.restore(reseal_tampered(blob, 37, source.placement(0).first, 4));
+  EXPECT_EQ(control.arrivals(), n);
+
+  const std::uint64_t huge = std::uint64_t{1} << 61;
+  restore_throws(29, huge, 8);              // arrival count
+  restore_throws(4, huge, 8);               // source shard count
+  restore_throws(first_log_size, huge, 8);  // shard 0's log size
+  restore_throws(37, 7, 4);                 // placement names shard 7 of 2
+  restore_throws(41, 1000, 4);              // local id past the shard's count
+}
+
 // ---------------------------------------------------------------------------
 // Fault injector
 // ---------------------------------------------------------------------------
@@ -569,17 +630,18 @@ TEST(FaultTolerantPump, DisabledFaultToleranceKeepsTheFastPath) {
 }
 
 TEST(FaultTolerantPump, KillAndHealUnderALiveMultiWorkerPump) {
-  // DESIGN.md §11.5: the fault-tolerant pump composes with the concurrent
-  // ring workers.  One shard is killed mid-run (scripted fault on every
-  // attempt → quarantine) while recoverable faults on three sibling shards
-  // land in the same batch, so their committed-log rebuilds run as
-  // parallel lane jobs.  restore_shard then heals the dead shard under
-  // the same live workers, and the whole run must be bit-identical to the
-  // sequential kTasks FT pump under the identical fault plan.
+  // DESIGN.md §11.5: fault-tolerant attempts stream through the ring
+  // workers like plain ones.  One shard is killed mid-run (scripted fault
+  // on every attempt → quarantine) while recoverable faults on three
+  // sibling shards land in the same batch, so their committed-log
+  // rebuilds run as parallel lane jobs.  restore_shard then heals the dead
+  // shard under the same live workers.  The run must be bit-identical
+  // between 4 workers and 1 worker under the identical fault plan, and
+  // every shard must end where a sequential replay of its committed log
+  // ends.
   const AdmissionInstance inst = make_mixed_instance(400, 18);
   ServiceConfig cfg;
   cfg.shards = 4;
-  cfg.threads = 4;
   cfg.batch = 50;
   cfg.fault_tolerance.enabled = true;
   cfg.fault_tolerance.retry.max_retries = 1;
@@ -618,9 +680,9 @@ TEST(FaultTolerantPump, KillAndHealUnderALiveMultiWorkerPump) {
   }
   cfg.fault_tolerance.injector = std::make_shared<FaultInjector>(plan);
 
-  const auto run = [&](PumpMode mode) {
+  const auto run = [&](std::size_t threads) {
     ServiceConfig c = cfg;
-    c.pump = mode;
+    c.threads = threads;
     auto service =
         std::make_unique<AdmissionService>(inst.graph(), factory, c);
     pump(*service, inst, 0, 300, c.batch);
@@ -639,26 +701,46 @@ TEST(FaultTolerantPump, KillAndHealUnderALiveMultiWorkerPump) {
     EXPECT_GT(service->shard_stats(1).shed, 0u);  // the dead window shed
     return service;
   };
-  const auto rings = run(PumpMode::kRings);
-  const auto tasks = run(PumpMode::kTasks);
+  const auto four = run(4);
+  const auto one = run(1);
+  EXPECT_EQ(four->worker_count(), 4u);
+  EXPECT_EQ(one->worker_count(), 1u);
 
-  ASSERT_EQ(rings->arrivals(), tasks->arrivals());
-  for (std::size_t i = 0; i < rings->arrivals(); ++i) {
-    ASSERT_EQ(rings->decision_mode(i), tasks->decision_mode(i)) << i;
-    if (rings->decision_mode(i) == DecisionMode::kEngine) {
-      ASSERT_EQ(rings->is_accepted(i), tasks->is_accepted(i)) << i;
+  ASSERT_EQ(four->arrivals(), one->arrivals());
+  for (std::size_t i = 0; i < four->arrivals(); ++i) {
+    ASSERT_EQ(four->decision_mode(i), one->decision_mode(i)) << i;
+    ASSERT_EQ(four->placement(i), one->placement(i)) << i;
+    if (four->decision_mode(i) == DecisionMode::kEngine) {
+      ASSERT_EQ(four->is_accepted(i), one->is_accepted(i)) << i;
     }
   }
   for (std::size_t s = 0; s < cfg.shards; ++s) {
-    const ShardStats a = rings->shard_stats(s);
-    const ShardStats b = tasks->shard_stats(s);
+    const ShardStats a = four->shard_stats(s);
+    const ShardStats b = one->shard_stats(s);
     EXPECT_EQ(a.arrivals, b.arrivals) << s;
     EXPECT_EQ(a.shed, b.shed) << s;
     EXPECT_EQ(a.rejected, b.rejected) << s;
     EXPECT_DOUBLE_EQ(a.rejected_cost, b.rejected_cost) << s;
   }
-  EXPECT_DOUBLE_EQ(rings->aggregate().rejected_cost,
-                   tasks->aggregate().rejected_cost);
+  EXPECT_DOUBLE_EQ(four->aggregate().rejected_cost,
+                   one->aggregate().rejected_cost);
+
+  // A shard's committed log is exactly its arrivals with live placements,
+  // in arrival order: replaying them through fresh algorithms must land
+  // on the service's final state.
+  const std::span<const Request> requests(inst.requests().data(),
+                                          four->arrivals());
+  const test::SequentialReplay replay(
+      inst.graph(), factory, cfg.shards, requests, [&](std::size_t i) {
+        const auto [shard, local] = four->placement(i);
+        return local == kInvalidId ? test::SequentialReplay::kSkip : shard;
+      });
+  for (std::size_t i = 0; i < four->arrivals(); ++i) {
+    const auto [shard, local] = four->placement(i);
+    if (local == kInvalidId || four->shard_quarantined(shard)) continue;
+    ASSERT_EQ(replay.placement(i).second, local) << i;
+    ASSERT_EQ(four->is_accepted(i), replay.is_accepted(i)) << i;
+  }
 }
 
 }  // namespace

@@ -385,16 +385,27 @@ TEST_F(ServiceStatsTest, PlacementTracksOwningShardAndLocalOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrent pump (PumpMode::kRings) — DESIGN.md §11
+// Concurrent pump (ring workers) — DESIGN.md §11
 // ---------------------------------------------------------------------------
 
 class ConcurrentPump : public test::SeededTest {};
 
+/// The sequential replay of `requests` under the service's own routing.
+test::SequentialReplay routed_replay(const AdmissionService& service,
+                                     const Graph& graph,
+                                     const ShardAlgorithmFactory& factory,
+                                     std::span<const Request> requests) {
+  return test::SequentialReplay(
+      graph, factory, service.shard_count(), requests,
+      [&](std::size_t i) { return service.shard_of_request(requests[i]); });
+}
+
 TEST_F(ConcurrentPump, BitIdenticalAcrossWorkerCountsSeedsAndScenarios) {
-  // The §11.2 contract: for every worker count the rings pump's decision
-  // stream equals the sequential (kTasks, one thread) pump's, bit for bit
-  // — routing fixes each shard's arrival subsequence before workers run,
-  // and each shard is consumed by exactly one worker in ring order.
+  // The §11.2 contract: for every worker count the pump's decision stream
+  // equals the sequential replay's (one algorithm per shard fed its routed
+  // subsequence in arrival order), bit for bit — routing fixes each
+  // shard's arrival subsequence, and each shard is consumed by exactly one
+  // worker in ring order.
   for (const std::uint64_t seed : {5u, 11u, 23u}) {
     for (const char* scenario : {"dense_burst", "power_law", "diurnal"}) {
       ScenarioParams params;
@@ -408,50 +419,65 @@ TEST_F(ConcurrentPump, BitIdenticalAcrossWorkerCountsSeedsAndScenarios) {
         cfg.seed = seed + shard;
         return std::make_unique<RandomizedAdmission>(graph, cfg);
       };
-      ServiceConfig sequential_cfg;
-      sequential_cfg.shards = 5;
-      sequential_cfg.batch = 128;
-      sequential_cfg.threads = 1;
-      AdmissionService sequential(inst.graph(), factory, sequential_cfg);
-      const std::vector<bool> reference = final_decisions(sequential, inst);
-      const ServiceStats ref_stats = sequential.aggregate();
       for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-        ServiceConfig cfg = sequential_cfg;
-        cfg.pump = PumpMode::kRings;
+        ServiceConfig cfg;
+        cfg.shards = 5;
+        cfg.batch = 128;
         cfg.threads = workers;
         AdmissionService rings(inst.graph(), factory, cfg);
         EXPECT_GE(rings.worker_count(), 1u);
         EXPECT_LE(rings.worker_count(), workers);
         const std::vector<bool> got = final_decisions(rings, inst);
-        ASSERT_EQ(got, reference) << scenario << " seed " << seed
-                                  << " workers " << workers;
+        const test::SequentialReplay reference =
+            routed_replay(rings, inst.graph(), factory, inst.requests());
+        std::size_t accepted = 0;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(got[i], reference.is_accepted(i))
+              << scenario << " seed " << seed << " workers " << workers
+              << " arrival " << i;
+          ASSERT_EQ(rings.placement(i), reference.placement(i));
+          accepted += got[i] ? 1 : 0;
+        }
+        std::size_t rejected = 0;
+        std::uint64_t steps = 0;
+        for (std::size_t s = 0; s < reference.shard_count(); ++s) {
+          rejected += reference.shard(s).rejected_count();
+          steps += reference.shard(s).augmentation_steps();
+        }
         const ServiceStats stats = rings.aggregate();
-        EXPECT_EQ(stats.arrivals, ref_stats.arrivals);
-        EXPECT_EQ(stats.accepted, ref_stats.accepted);
-        EXPECT_EQ(stats.rejected, ref_stats.rejected);
-        EXPECT_EQ(stats.augmentation_steps, ref_stats.augmentation_steps);
+        EXPECT_EQ(stats.arrivals, inst.request_count());
+        EXPECT_EQ(stats.accepted, accepted);
+        EXPECT_EQ(stats.rejected, rejected);
+        EXPECT_EQ(stats.augmentation_steps, steps);
       }
     }
   }
 }
 
-TEST_F(ConcurrentPump, SmallRingCapacityBackpressuresWithoutDeadlock) {
-  // A ring much smaller than the batch forces the routing thread through
-  // the full-ring spin path; decisions must be unaffected.
+TEST_F(ConcurrentPump, OverfullRingBackpressuresWithoutDeadlock) {
+  // One batch carrying more arrivals for a shard than its ring holds
+  // (max(1024, batch) slots) forces the routing thread through the
+  // full-ring wait; decisions must be unaffected.
   ScenarioParams params;
-  params.requests = 800;
+  params.requests = 5000;
   params.edges = 16;
   const AdmissionInstance inst = make_scenario("dense_burst", params, rng);
   ServiceConfig cfg;
-  cfg.shards = 4;
-  cfg.batch = 512;
-  ServiceConfig tiny = cfg;
-  tiny.pump = PumpMode::kRings;
-  tiny.threads = 2;
-  tiny.ring_capacity = 8;
-  AdmissionService reference(inst.graph(), deterministic_unit_factory(), cfg);
-  AdmissionService rings(inst.graph(), deterministic_unit_factory(), tiny);
-  EXPECT_EQ(final_decisions(rings, inst), final_decisions(reference, inst));
+  cfg.shards = 2;
+  cfg.threads = 1;
+  const ShardAlgorithmFactory factory = deterministic_unit_factory();
+  AdmissionService service(inst.graph(), factory, cfg);
+  const std::span<const Request> requests(inst.requests());
+  service.submit_batch(requests);
+  std::vector<std::size_t> per_shard(cfg.shards, 0);
+  for (const Request& r : requests) ++per_shard[service.shard_of_request(r)];
+  EXPECT_GT(*std::max_element(per_shard.begin(), per_shard.end()),
+            std::size_t{1024});
+  const test::SequentialReplay reference =
+      routed_replay(service, inst.graph(), factory, requests);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_EQ(service.is_accepted(i), reference.is_accepted(i)) << i;
+  }
 }
 
 TEST_F(ConcurrentPump, LatenciesAndPlacementsMatchSequential) {
@@ -463,7 +489,6 @@ TEST_F(ConcurrentPump, LatenciesAndPlacementsMatchSequential) {
   cfg.shards = 3;
   cfg.batch = 100;
   cfg.collect_latencies = true;
-  cfg.pump = PumpMode::kRings;
   cfg.threads = 4;
   AdmissionService service(inst.graph(), deterministic_unit_factory(), cfg);
   service.run(inst);
@@ -505,9 +530,9 @@ class FailsAtArrival : public OnlineAdmissionAlgorithm {
 };
 
 TEST_F(ConcurrentPump, ShardFailureVoidsPlacementsLikeSequential) {
-  // Shard 1 dies at its 10th arrival in both pump modes; the surviving
-  // shards must keep their results, the dead shard's unprocessed arrivals
-  // must be voided, and the error must surface on the caller.
+  // Shard 1 dies at its 10th arrival; the surviving shards must keep their
+  // results, the dead shard's unprocessed arrivals must be voided, and the
+  // error must surface on the caller.
   ScenarioParams params;
   params.requests = 500;
   params.edges = 16;
@@ -516,31 +541,28 @@ TEST_F(ConcurrentPump, ShardFailureVoidsPlacementsLikeSequential) {
     return std::make_unique<FailsAtArrival>(
         graph, shard == 1 ? 10 : std::numeric_limits<std::size_t>::max());
   };
-  for (const PumpMode pump : {PumpMode::kTasks, PumpMode::kRings}) {
-    ServiceConfig cfg;
-    cfg.shards = 4;
-    cfg.batch = 500;
-    cfg.threads = 2;
-    cfg.pump = pump;
-    AdmissionService service(inst.graph(), factory, cfg);
-    EXPECT_THROW(
-        service.submit_batch(std::span<const Request>(inst.requests())),
-        std::runtime_error);
-    std::size_t voided = 0;
-    for (std::size_t i = 0; i < service.arrivals(); ++i) {
-      const auto [shard, local] = service.placement(i);
-      if (local == kInvalidId) {
-        ++voided;
-        EXPECT_EQ(shard, 1u);
-        EXPECT_THROW(service.is_accepted(i), InvalidArgument);
-      } else {
-        service.is_accepted(i);  // must not throw
-      }
+  ServiceConfig cfg;
+  cfg.shards = 4;
+  cfg.batch = 500;
+  cfg.threads = 2;
+  AdmissionService service(inst.graph(), factory, cfg);
+  EXPECT_THROW(
+      service.submit_batch(std::span<const Request>(inst.requests())),
+      std::runtime_error);
+  std::size_t voided = 0;
+  for (std::size_t i = 0; i < service.arrivals(); ++i) {
+    const auto [shard, local] = service.placement(i);
+    if (local == kInvalidId) {
+      ++voided;
+      EXPECT_EQ(shard, 1u);
+      EXPECT_THROW(service.is_accepted(i), InvalidArgument);
+    } else {
+      service.is_accepted(i);  // must not throw
     }
-    EXPECT_GT(voided, 0u);
-    // Exactly shard 1's arrivals past its 10 processed ones are voided.
-    EXPECT_EQ(service.shard_stats(1).arrivals, 10u);
   }
+  EXPECT_GT(voided, 0u);
+  // Exactly shard 1's arrivals past its 10 processed ones are voided.
+  EXPECT_EQ(service.shard_stats(1).arrivals, 10u);
 }
 
 // ---------------------------------------------------------------------------
@@ -640,112 +662,6 @@ TEST(DecisionGolden, CatalogDecisionsMatchPinnedLiteral) {
         << "sweep tier " << simd::sweep_isa_name(isa);
   }
   simd::clear_sweep_isa_override();
-}
-
-// ---------------------------------------------------------------------------
-// LCA cross-shard reconcile lane (ServiceConfig::lca_reconcile) — §11.4
-// ---------------------------------------------------------------------------
-
-class LcaReconcile : public test::SeededTest {};
-
-/// Multi-tenant workload under the *hash* partition: tenant blocks do not
-/// align with shards, so multi-edge requests regularly cross shards.
-AdmissionInstance make_cross_shard_instance(Rng& rng) {
-  return make_multi_tenant_workload(4, 4, 3, 1500, 3, 1.0,
-                                    CostModel::unit_costs(), rng);
-}
-
-TEST_F(LcaReconcile, ReconciledDecisionsEqualSequentialEngine) {
-  // The differential pin: the reconcile lane's decisions must equal a
-  // bare sequential engine (same factory, lane index K) fed exactly the
-  // diverted subsequence in arrival order — for every pump mode and
-  // worker count.
-  const AdmissionInstance inst = make_cross_shard_instance(rng);
-  const ShardAlgorithmFactory factory = deterministic_unit_factory();
-  for (const PumpMode pump : {PumpMode::kTasks, PumpMode::kRings}) {
-    for (const std::size_t workers : {1u, 4u}) {
-      ServiceConfig cfg;
-      cfg.shards = 4;
-      cfg.batch = 128;
-      cfg.threads = workers;
-      cfg.pump = pump;
-      cfg.lca_reconcile = true;
-      AdmissionService service(inst.graph(), factory, cfg);
-      service.run(inst);
-      ASSERT_EQ(service.arrivals(), inst.request_count());
-
-      // Replay the diverted subsequence through the reference engine
-      // first, then compare *final* states: is_accepted reflects later
-      // preemptions, so the comparison is only meaningful after the whole
-      // subsequence has been processed on both sides.
-      const std::unique_ptr<OnlineAdmissionAlgorithm> reference =
-          factory(inst.graph(), cfg.shards);
-      std::vector<std::size_t> diverted_arrivals;
-      for (std::size_t i = 0; i < service.arrivals(); ++i) {
-        const auto [shard, local] = service.placement(i);
-        if (shard != AdmissionService::kLcaLane) continue;
-        EXPECT_EQ(local, static_cast<RequestId>(diverted_arrivals.size()));
-        reference->process(inst.requests()[i]);
-        diverted_arrivals.push_back(i);
-      }
-      const std::size_t diverted = diverted_arrivals.size();
-      for (std::size_t d = 0; d < diverted; ++d) {
-        EXPECT_EQ(service.is_accepted(diverted_arrivals[d]),
-                  reference->is_accepted(static_cast<RequestId>(d)))
-            << "arrival " << diverted_arrivals[d];
-      }
-      EXPECT_EQ(service.lca_algorithm().rejected_count(),
-                reference->rejected_count());
-      ASSERT_GT(diverted, 0u) << "instance never crossed shards";
-      EXPECT_EQ(service.lca_arrivals(), diverted);
-      EXPECT_LE(service.lca_speculation_hits(), diverted);
-      const ServiceStats stats = service.aggregate();
-      EXPECT_EQ(stats.lca_arrivals, diverted);
-      EXPECT_EQ(stats.arrivals, inst.request_count());
-    }
-  }
-}
-
-TEST_F(LcaReconcile, DecisionsInvariantAcrossWorkerCounts) {
-  const AdmissionInstance inst = make_cross_shard_instance(rng);
-  std::vector<std::vector<bool>> outcomes;
-  std::vector<std::size_t> hits;
-  for (const std::size_t workers : {1u, 2u, 8u}) {
-    ServiceConfig cfg;
-    cfg.shards = 4;
-    cfg.batch = 96;
-    cfg.threads = workers;
-    cfg.pump = PumpMode::kRings;
-    cfg.lca_reconcile = true;
-    AdmissionService service(inst.graph(), deterministic_unit_factory(),
-                             cfg);
-    outcomes.push_back(final_decisions(service, inst));
-    hits.push_back(service.lca_speculation_hits());
-  }
-  for (std::size_t i = 1; i < outcomes.size(); ++i) {
-    EXPECT_EQ(outcomes[i], outcomes.front()) << "worker variant " << i;
-    EXPECT_EQ(hits[i], hits.front()) << "worker variant " << i;
-  }
-}
-
-TEST_F(LcaReconcile, RejectsIncompatibleConfigurations) {
-  Rng local(7);
-  const AdmissionInstance inst = make_cross_shard_instance(local);
-  ServiceConfig cfg;
-  cfg.shards = 2;
-  cfg.lca_reconcile = true;
-  cfg.fault_tolerance.enabled = true;
-  EXPECT_THROW(
-      AdmissionService(inst.graph(), deterministic_unit_factory(), cfg),
-      InvalidArgument);
-  cfg.fault_tolerance.enabled = false;
-  AdmissionService service(inst.graph(), deterministic_unit_factory(), cfg);
-  EXPECT_THROW(service.snapshot(), InvalidArgument);
-  EXPECT_NO_THROW(service.lca_algorithm());  // the lane exists here
-  // …but not on a service without the flag.
-  cfg.lca_reconcile = false;
-  AdmissionService plain(inst.graph(), deterministic_unit_factory(), cfg);
-  EXPECT_THROW(plain.lca_algorithm(), InvalidArgument);
 }
 
 }  // namespace

@@ -8,16 +8,24 @@
 //   * small instance builders wrapping graph/generators, sim/workloads and
 //     setcover/generators with suite-sized defaults;
 //   * deep-equality helpers for instances (used by the io round-trip and
-//     determinism tests).
+//     determinism tests);
+//   * SequentialReplay — the AdmissionService determinism reference.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <span>
+#include <utility>
+#include <vector>
 
+#include "core/online_admission.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/request.h"
+#include "service/admission_service.h"
 #include "setcover/generators.h"
 #include "setcover/instance.h"
 #include "setcover/set_system.h"
@@ -122,6 +130,59 @@ inline void expect_same_instance(const CoverInstance& a,
   }
   EXPECT_EQ(a.arrivals(), b.arrivals());
 }
+
+
+// ---------------------------------------------------------------------------
+// Service determinism reference
+// ---------------------------------------------------------------------------
+
+/// What AdmissionService must reproduce for every worker count (DESIGN.md
+/// §11.2): one fresh factory-built algorithm per shard, fed that shard's
+/// routed subsequence of `requests` in arrival order on the calling
+/// thread.  `shard_of(i)` names the shard arrival i is routed to, or kSkip
+/// for an arrival that never reached an algorithm (shed, malformed,
+/// voided).
+class SequentialReplay {
+ public:
+  static constexpr std::size_t kSkip = static_cast<std::size_t>(-1);
+
+  SequentialReplay(const Graph& graph, const ShardAlgorithmFactory& factory,
+                   std::size_t shard_count, std::span<const Request> requests,
+                   const std::function<std::size_t(std::size_t)>& shard_of) {
+    for (std::size_t s = 0; s < shard_count; ++s) {
+      shards_.push_back(factory(graph, s));
+    }
+    placement_.reserve(requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const std::size_t s = shard_of(i);
+      if (s == kSkip) {
+        placement_.emplace_back(kSkip, kInvalidId);
+        continue;
+      }
+      placement_.emplace_back(
+          s, static_cast<RequestId>(shards_.at(s)->arrivals()));
+      shards_[s]->process(requests[i]);
+    }
+  }
+
+  std::size_t shard_count() const { return shards_.size(); }
+  const OnlineAdmissionAlgorithm& shard(std::size_t s) const {
+    return *shards_.at(s);
+  }
+  /// (shard, shard-local id) of arrival i; (kSkip, kInvalidId) if skipped.
+  std::pair<std::size_t, RequestId> placement(std::size_t i) const {
+    return placement_.at(i);
+  }
+  /// Final acceptance state of arrival i (false for a skipped arrival).
+  bool is_accepted(std::size_t i) const {
+    const auto [s, local] = placement_.at(i);
+    return s != kSkip && shards_[s]->is_accepted(local);
+  }
+
+ private:
+  std::vector<std::unique_ptr<OnlineAdmissionAlgorithm>> shards_;
+  std::vector<std::pair<std::size_t, RequestId>> placement_;
+};
 
 }  // namespace test
 }  // namespace minrej

@@ -321,8 +321,7 @@ int serve_main(int argc, char** argv) {
       {"list", "scenario", "instance", "requests", "edges", "capacity",
        "seed", "shards", "batch", "threads", "rate", "algorithm",
        "latencies", "dump", "json", "partition", "soak", "inject-faults",
-       "fault-rate", "fault-seed", "feedback", "epochs", "pump",
-       "ring-capacity"});
+       "fault-rate", "fault-seed", "feedback", "epochs"});
 
   if (flags.get_bool("list", false)) {
     std::cout << "scenario catalog (docs/SCENARIOS.md):\n";
@@ -392,14 +391,6 @@ int serve_main(int argc, char** argv) {
   config.collect_latencies = flags.get_bool("latencies", true);
   config.partition = make_partition(flags.get_string("partition", ""),
                                     instance.graph().edge_count(), shards);
-  // Concurrent-pump knobs (DESIGN.md §11): --pump rings selects the
-  // persistent ring workers, --ring-capacity sizes the per-shard lanes.
-  const std::string pump_name = flags.get_string("pump", "tasks");
-  MINREJ_REQUIRE(pump_name == "tasks" || pump_name == "rings",
-                 "--pump must be 'tasks' or 'rings'");
-  config.pump = pump_name == "rings" ? PumpMode::kRings : PumpMode::kTasks;
-  config.ring_capacity =
-      static_cast<std::size_t>(flags.get_int("ring-capacity", 0));
 
   // -- soak mode ------------------------------------------------------------
   if (flags.has("soak")) {
@@ -553,7 +544,6 @@ int serve_main(int argc, char** argv) {
   JsonObject root = provenance_json("serve", source, algorithm, unit_costs,
                                     seed, shards, batch);
   root.field("rate", rate)
-      .field("pump", pump_name)
       .field("workers", service.worker_count());
   append_service_stats(root, stats);
   root.raw("shard_stats", json_array(shards_json));
