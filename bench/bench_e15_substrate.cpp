@@ -14,16 +14,8 @@
 //       the regime the flat layout targets.  The `overlap` scenario
 //       (dense Bernoulli membership) is the honesty row: sets cover many
 //       elements at once, augmentation is rare, and the flat engine's
-//       arrival-end cache fix-up pays O(row degree) per touched set —
-//       the nested baseline wins there (~0.65–0.9×; DESIGN.md §7.5).
-//   (b) storage sweep duel — the §5 bicriteria sweep shape over the flat
-//       substrate vs pre-§7 nested vectors, identical arithmetic
-//       (checksummed).  Isolates pure incidence iteration; on a
-//       LLC-resident working set this is near parity and is reported as
-//       such.
-//   (c) reduction duel — FractionalSetCover via ReductionView vs the
-//       materializing path: setup seconds, arrival throughput, and the
-//       decision-identity flag.
+//       arrival-end cache fix-up is most exposed there (the §8.2 delta
+//       journal keeps it ahead; DESIGN.md §7.5).
 //   (d) full stack — set-cover algorithms with the augmentation-budget
 //       verdict, so the set-cover half has its own perf trajectory.
 //
@@ -38,7 +30,6 @@
 #include "bench_common.h"
 #include "core/bicriteria_setcover.h"
 #include "core/fractional_engine.h"
-#include "core/fractional_setcover.h"
 #include "core/naive_engine.h"
 #include "core/online_setcover.h"
 #include "core/reduction.h"
@@ -207,135 +198,6 @@ std::string stack_duel_json(const StackDuel& d) {
   return o.dump();
 }
 
-// ---------------------------------------------------------------------------
-// (b) storage sweep duel
-// ---------------------------------------------------------------------------
-
-/// The pre-§7 SetSystem storage, reproduced as a baseline: membership in
-/// one heap vector per set, S_j in one heap vector per element.  The
-/// accessor surface mirrors SetSystem so the sweep kernel below is the
-/// same code over both.
-struct NestedSystem {
-  std::vector<std::vector<ElementId>> sets;
-  std::vector<std::vector<SetId>> sets_of_elem;
-
-  static NestedSystem from(const SetSystem& sys) {
-    NestedSystem out;
-    out.sets.resize(sys.set_count());
-    out.sets_of_elem.assign(sys.element_count(), {});
-    for (SetId s = 0; s < sys.set_count(); ++s) {
-      const auto members = sys.elements_of(s);
-      out.sets[s].assign(members.begin(), members.end());
-      for (ElementId j : members) out.sets_of_elem[j].push_back(s);
-    }
-    return out;
-  }
-
-  std::span<const ElementId> elements_of(SetId s) const { return sets[s]; }
-  std::span<const SetId> sets_of(ElementId j) const {
-    return sets_of_elem[j];
-  }
-};
-
-/// Flat-side adapter with the identical surface (what the algorithms
-/// actually call).
-struct FlatSystemRef {
-  const SetSystem* sys;
-  std::span<const ElementId> elements_of(SetId s) const {
-    return sys->elements_of(s);
-  }
-  std::span<const SetId> sets_of(ElementId j) const {
-    return sys->sets_of(j);
-  }
-};
-
-/// The §5-shaped hot sweep: multiplicative update over S_j with element-
-/// weight propagation (bicriteria step (a)) plus the greedy candidate
-/// scan (step (c)).  Returns a checksum so the walks cannot be elided and
-/// the storages are asserted arithmetic-identical.
-template <typename Sys>
-double coverage_sweep(const Sys& sys, const std::vector<ElementId>& arrivals,
-                      std::vector<double>& set_weight,
-                      std::vector<double>& elem_weight) {
-  double checksum = 0.0;
-  for (ElementId j : arrivals) {
-    for (SetId s : sys.sets_of(j)) {
-      const double before = set_weight[s];
-      set_weight[s] = before * 1.0009765625;  // ×(1 + 1/1024), exact
-      const double delta = set_weight[s] - before;
-      for (ElementId member : sys.elements_of(s)) {
-        elem_weight[member] += delta;
-      }
-    }
-    double best = -1.0;
-    for (SetId s : sys.sets_of(j)) {
-      double gain = 0.0;
-      for (ElementId member : sys.elements_of(s)) {
-        gain += elem_weight[member];
-      }
-      if (gain > best) best = gain;
-    }
-    checksum += best;
-  }
-  return checksum;
-}
-
-struct SweepDuel {
-  std::string system;
-  std::size_t arrivals = 0;
-  std::size_t nnz = 0;
-  double flat_s = 0.0;
-  double nested_s = 0.0;
-  double speedup() const {
-    return flat_s > 0.0 && nested_s > 0.0 ? nested_s / flat_s : 0.0;
-  }
-};
-
-SweepDuel sweep_duel(const std::string& name, const SetSystem& sys,
-                     const std::vector<ElementId>& arrivals,
-                     std::size_t trials) {
-  SweepDuel duel;
-  duel.system = name;
-  duel.arrivals = arrivals.size();
-  duel.nnz = sys.substrate().entry_count();
-  const NestedSystem nested = NestedSystem::from(sys);
-  const FlatSystemRef flat{&sys};
-  double flat_checksum = 0.0, nested_checksum = 0.0;
-  for (std::size_t t = 0; t < trials; ++t) {
-    {
-      std::vector<double> w(sys.set_count(), 1.0 / 64.0);
-      std::vector<double> ew(sys.element_count(), 0.0);
-      Timer timer;
-      flat_checksum = coverage_sweep(flat, arrivals, w, ew);
-      const double s = timer.elapsed_s();
-      if (t == 0 || s < duel.flat_s) duel.flat_s = s;
-    }
-    {
-      std::vector<double> w(sys.set_count(), 1.0 / 64.0);
-      std::vector<double> ew(sys.element_count(), 0.0);
-      Timer timer;
-      nested_checksum = coverage_sweep(nested, arrivals, w, ew);
-      const double s = timer.elapsed_s();
-      if (t == 0 || s < duel.nested_s) duel.nested_s = s;
-    }
-  }
-  MINREJ_CHECK(flat_checksum == nested_checksum,
-               "flat and nested sweeps diverged");
-  return duel;
-}
-
-std::string sweep_duel_json(const SweepDuel& d) {
-  JsonObject o;
-  o.field("system", d.system)
-      .field("arrivals", d.arrivals)
-      .field("nnz", d.nnz)
-      .field("flat_sweeps_per_sec", d.arrivals / std::max(1e-12, d.flat_s))
-      .field("nested_sweeps_per_sec",
-             d.arrivals / std::max(1e-12, d.nested_s))
-      .field("speedup", d.speedup());
-  return o.dump();
-}
-
 }  // namespace
 }  // namespace minrej::bench
 
@@ -344,19 +206,16 @@ int main(int argc, char** argv) {
   using namespace minrej::bench;
   const CliFlags flags = CliFlags::parse(
       argc, argv,
-      {"elements", "copies", "sweep_elements", "arrivals", "trials",
-       "csv_dir", "json"});
+      {"elements", "copies", "sweep_elements", "trials", "csv_dir", "json"});
   const std::size_t n = positive(flags.get_int("elements", 768), "elements");
   const std::size_t copies = positive(flags.get_int("copies", 192), "copies");
   const std::size_t sweep_n =
       positive(flags.get_int("sweep_elements", 2048), "sweep_elements");
-  const std::size_t sweep_arrivals =
-      positive(flags.get_int("arrivals", 2000), "arrivals");
   const std::size_t trials = positive(flags.get_int("trials", 5), "trials");
   const std::string csv_dir = flags.get_string("csv_dir", "");
 
-  std::cout << "=== E15: covering substrate (CSR stack vs nested baseline, "
-               "view vs materialized reduction) ===\n\n";
+  std::cout << "=== E15: covering substrate (CSR stack vs nested "
+               "baseline) ===\n\n";
 
   // -- (a) stack duel --------------------------------------------------------
   std::vector<StackDuel> stacks;
@@ -391,76 +250,6 @@ int main(int argc, char** argv) {
          static_cast<long long>(d.csr.augmentations)});
   }
   emit(stack_table, "e15a_stack_duel", csv_dir);
-
-  // -- (b) storage sweep duel ------------------------------------------------
-  std::vector<SweepDuel> sweeps;
-  {
-    Rng rng(2);
-    SetSystem dense = random_density_system(sweep_n, sweep_n, 0.05, 2, rng);
-    const auto arrivals = arrivals_zipf(dense, sweep_arrivals, 0.0, rng);
-    sweeps.push_back(sweep_duel("dense_overlap", dense, arrivals, trials));
-  }
-  {
-    Rng rng(3);
-    SetSystem tail = power_law_system(sweep_n, sweep_n, 1.3, 2, rng);
-    const auto arrivals = arrivals_zipf(tail, sweep_arrivals, 1.1, rng);
-    sweeps.push_back(sweep_duel("power_law_tail", tail, arrivals, trials));
-  }
-  Table sweep_table("E15b — raw incidence sweep, flat CSR vs nested vectors",
-                    {"system", "arrivals", "nnz", "flat sweeps/s",
-                     "nested sweeps/s", "speedup"});
-  for (const SweepDuel& d : sweeps) {
-    sweep_table.add_row(
-        {d.system, d.arrivals, d.nnz,
-         Cell(d.arrivals / std::max(1e-12, d.flat_s), 0),
-         Cell(d.arrivals / std::max(1e-12, d.nested_s), 0),
-         Cell(d.speedup(), 2)});
-  }
-  emit(sweep_table, "e15b_sweep_duel", csv_dir);
-
-  // -- (c) reduction duel ----------------------------------------------------
-  struct ReductionDuel {
-    double view_setup_s = 0.0, mat_setup_s = 0.0;
-    double view_run_s = 0.0, mat_run_s = 0.0;
-    std::size_t arrivals = 0;
-    bool identical = false;
-  } red;
-  {
-    const std::size_t rn = std::min<std::size_t>(sweep_n, 1024);
-    Rng rng(4);
-    SetSystem sys = random_uniform_system(rn, rn, 8, 4, rng);
-    const auto arrivals = arrivals_each_k_times(rn, 3, true, rng);
-    red.arrivals = arrivals.size();
-
-    Timer t1;
-    FractionalSetCover via_view(sys, {}, ReductionMode::kView);
-    red.view_setup_s = t1.elapsed_s();
-    Timer t2;
-    for (ElementId j : arrivals) via_view.on_element(j);
-    red.view_run_s = t2.elapsed_s();
-
-    Timer t3;
-    FractionalSetCover via_mat(sys, {}, ReductionMode::kMaterialized);
-    red.mat_setup_s = t3.elapsed_s();
-    Timer t4;
-    for (ElementId j : arrivals) via_mat.on_element(j);
-    red.mat_run_s = t4.elapsed_s();
-
-    red.identical =
-        via_view.fractional_cost() == via_mat.fractional_cost() &&
-        via_view.augmentations() == via_mat.augmentations();
-    MINREJ_CHECK(red.identical,
-                 "view and materialized reductions diverged — substrate "
-                 "differential suite should have caught this");
-  }
-  Table red_table("E15c — §4 reduction: zero-copy view vs materialized",
-                  {"binding", "setup ms", "arrivals", "arrivals/s"});
-  red_table.add_row({"view", Cell(red.view_setup_s * 1e3, 3), red.arrivals,
-                     Cell(red.arrivals / std::max(1e-12, red.view_run_s), 0)});
-  red_table.add_row({"materialized", Cell(red.mat_setup_s * 1e3, 3),
-                     red.arrivals,
-                     Cell(red.arrivals / std::max(1e-12, red.mat_run_s), 0)});
-  emit(red_table, "e15c_reduction_duel", csv_dir);
 
   // -- (d) full stack --------------------------------------------------------
   std::vector<std::string> stack_json;
@@ -503,33 +292,19 @@ int main(int argc, char** argv) {
   std::cout << "headline: the CSR set-cover stack is " << headline
             << "x the nested-vector baseline on the dense scenario\n";
 
-  std::vector<std::string> stacks_json, sweeps_json;
+  std::vector<std::string> stacks_json;
   for (const StackDuel& d : stacks) stacks_json.push_back(stack_duel_json(d));
-  for (const SweepDuel& d : sweeps) sweeps_json.push_back(sweep_duel_json(d));
-  JsonObject red_json;
-  red_json.field("view_setup_ms", red.view_setup_s * 1e3)
-      .field("materialized_setup_ms", red.mat_setup_s * 1e3)
-      .field("arrivals", red.arrivals)
-      .field("view_arrivals_per_sec",
-             red.arrivals / std::max(1e-12, red.view_run_s))
-      .field("materialized_arrivals_per_sec",
-             red.arrivals / std::max(1e-12, red.mat_run_s))
-      .field("identical", red.identical);
   JsonObject root = bench_root("e15", "mixed");
   root.field("elements", n)
       .field("copies", copies)
       .field("sweep_elements", sweep_n)
-      .field("sweep_arrivals", sweep_arrivals)
       .field("trials", trials)
       .raw("stack_duel", json_array(stacks_json))
-      .raw("storage_duel", json_array(sweeps_json))
-      .raw("reduction_duel", red_json.dump())
       .raw("full_stack", json_array(stack_json))
       .field("headline_speedup", headline);
   // Schema-driven CI gate (tools/check_bench_ratios.py): the CSR stack
   // must hold parity-minus-noise against the nested reference on every
-  // duel.  The storage duel stays ungated — byte-identical code over two
-  // allocations, bounded by host cache noise, info only.
+  // duel.
   JsonObject gate;
   gate.field("array", "stack_duel")
       .field("field", "speedup")

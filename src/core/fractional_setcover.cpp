@@ -5,30 +5,18 @@
 namespace minrej {
 
 FractionalSetCover::FractionalSetCover(const SetSystem& system,
-                                       FractionalConfig config,
-                                       ReductionMode mode)
-    : system_(system), mode_(mode), view_(system),
-      demand_(system.element_count(), 0) {
+                                       FractionalConfig config)
+    : system_(system), view_(system), demand_(system.element_count(), 0) {
   config.unit_costs = system.unit_costs();
-  if (mode_ == ReductionMode::kView) {
-    // Zero-copy binding: the engine reads capacities straight from the
-    // substrate (capacity = degree) and phase-1 edge lists are the
-    // substrate's own arena spans.
-    admission_ =
-        std::make_unique<FractionalAdmission>(system_.substrate(), config);
-    for (SetId s = 0; s < static_cast<SetId>(view_.phase1_count()); ++s) {
-      admission_->on_request(view_.phase1_edges(s), view_.phase1_cost(s));
-    }
-  } else {
-    materialized_.emplace(build_reduction(system));
-    admission_ =
-        std::make_unique<FractionalAdmission>(materialized_->graph, config);
-    for (const Request& r : materialized_->phase1) {
-      admission_->on_request(r);
-    }
+  // Zero-copy binding: the engine reads capacities straight from the
+  // substrate (capacity = degree) and phase-1 edge lists are the
+  // substrate's own arena spans.  Phase 1 lands every edge exactly at
+  // capacity, so no weight moves yet.
+  admission_ =
+      std::make_unique<FractionalAdmission>(system_.substrate(), config);
+  for (SetId s = 0; s < static_cast<SetId>(view_.phase1_count()); ++s) {
+    admission_->on_request(view_.phase1_edges(s), view_.phase1_cost(s));
   }
-  // Either way, phase 1 lands every edge exactly at capacity, so no
-  // weight moves yet.
 }
 
 void FractionalSetCover::on_element(ElementId j) {
@@ -37,8 +25,7 @@ void FractionalSetCover::on_element(ElementId j) {
       demand_[j] < static_cast<std::int64_t>(system_.degree(j)),
       "element requested more times than it has covering sets — infeasible");
   ++demand_[j];
-  // Phase-2 arrival: a single-edge must-accept span (view) or Request
-  // (materialized) — identical content either way.
+  // Phase-2 arrival: a single-edge must-accept span.
   admission_->on_request(view_.element_edges(j), 1.0, /*must_accept=*/true);
 }
 

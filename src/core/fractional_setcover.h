@@ -12,21 +12,18 @@
 // suite's FractionalSetCover.CoverIdentity and follows from
 // |ALIVE_{e_j}| = alive-sets + demand_j and capacity = degree_j).
 //
-// Since the covering-substrate refactor (DESIGN.md §7) the default
-// binding is ReductionMode::kView: the §2 wrapper and engine bind
-// directly to the SetSystem's CSR substrate (capacity = degree via
-// CoveringSubstrateTraits) and phase-1/phase-2 arrivals stream through
-// FractionalAdmission's span path — no graph, no request copies.  The
-// pre-§7 materializing binding is retained as kMaterialized; the two are
-// decision-identical (held so by tests/substrate_test.cpp — same
-// capacities, same arrival stream, same engine arithmetic).
+// The reduction is bound through ReductionView (DESIGN.md §7.4): the §2
+// wrapper and engine bind directly to the SetSystem's CSR substrate
+// (capacity = degree via CoveringSubstrateTraits) and phase-1/phase-2
+// arrivals stream through FractionalAdmission's span path — no graph, no
+// request copies.  tests/substrate_test.cpp holds it decision-identical to
+// FractionalAdmission run over the materialized build_reduction image.
 //
 // Useful on its own (fractional solutions are deterministic and cheap)
 // and as the reference the randomized rounding is validated against.
 #pragma once
 
 #include <memory>
-#include <optional>
 
 #include "core/fractional_admission.h"
 #include "core/reduction.h"
@@ -34,24 +31,16 @@
 
 namespace minrej {
 
-/// How FractionalSetCover realizes the §4 reduction (DESIGN.md §7.4).
-enum class ReductionMode : std::uint8_t {
-  kView,          ///< zero-copy: engine bound to the SetSystem substrate
-  kMaterialized,  ///< pre-§7 path: star graph + copied phase-1 requests
-};
-
 /// Deterministic fractional OSCR via the §4 reduction over the §2 engine.
 class FractionalSetCover {
  public:
   explicit FractionalSetCover(const SetSystem& system,
-                              FractionalConfig config = {},
-                              ReductionMode mode = ReductionMode::kView);
+                              FractionalConfig config = {});
 
   /// Presents one more arrival of element j.
   void on_element(ElementId j);
 
   const SetSystem& system() const noexcept { return system_; }
-  ReductionMode mode() const noexcept { return mode_; }
 
   /// x_S ∈ [0, 1]: the fraction of set S bought so far (monotone).
   double fraction(SetId s) const;
@@ -78,11 +67,7 @@ class FractionalSetCover {
 
  private:
   const SetSystem& system_;
-  ReductionMode mode_;
   ReductionView view_;
-  /// kMaterialized only: the realized star graph + phase-1 requests the
-  /// admission wrapper was bound to (must outlive admission_).
-  std::optional<ReductionInstance> materialized_;
   std::unique_ptr<FractionalAdmission> admission_;
   std::vector<std::int64_t> demand_;
 };

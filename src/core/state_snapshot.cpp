@@ -13,6 +13,7 @@
 // the engine kind ("flat"/"naive"); a snapshot taken by one build refuses
 // to load into the other with a clear error, because the two engines'
 // incidental state (caches, journals) differs even though decisions match.
+#include <algorithm>
 #include <string>
 
 #include "core/baselines.h"
@@ -98,10 +99,10 @@ void FlatFractionalEngine::load_state(SnapshotReader& r) {
   MINREJ_REQUIRE(zero_init_ > 0.0 && zero_init_ <= 1.0,
                  "snapshot zero_init out of range");
   small_threshold_ = static_cast<std::size_t>(r.u64());
-  const std::uint64_t n = r.u64();
+  const std::size_t n = r.count(32);  // 3 f64 + u64 per hot row
   hot_.clear();
-  hot_.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
+  hot_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
     HotRow row;
     row.weight = r.f64();
     row.inv_update_cost = r.f64();
@@ -123,10 +124,10 @@ void FlatFractionalEngine::load_state(SnapshotReader& r) {
   dead_count_ = r.vec<std::int64_t>();
   alive_sum_ = r.vec<double>();
   journal_pos_ = r.vec<std::size_t>();
-  const std::uint64_t journal_size = r.u64();
+  const std::size_t journal_size = r.count(12);  // u32 id + f64 delta
   journal_.clear();
-  journal_.reserve(static_cast<std::size_t>(journal_size));
-  for (std::uint64_t i = 0; i < journal_size; ++i) {
+  journal_.reserve(journal_size);
+  for (std::size_t i = 0; i < journal_size; ++i) {
     JournalEntry entry;
     entry.id = r.u32();
     entry.delta = r.f64();
@@ -148,6 +149,25 @@ void FlatFractionalEngine::load_state(SnapshotReader& r) {
                      alive_sum_.size() == substrate_.col_count &&
                      journal_pos_.size() == substrate_.col_count,
                  "engine snapshot per-edge arrays are inconsistent");
+  // Every index the engine later dereferences must land in range.
+  const auto all_below = [](const auto& ids, std::size_t bound) {
+    return std::all_of(ids.begin(), ids.end(),
+                       [bound](std::size_t id) { return id < bound; });
+  };
+  MINREJ_REQUIRE(edge_begin_.front() == 0 &&
+                     edge_begin_.back() == edge_pool_.size() &&
+                     std::is_sorted(edge_begin_.begin(), edge_begin_.end()) &&
+                     all_below(edge_pool_, substrate_.col_count),
+                 "engine snapshot incidence arena is inconsistent");
+  for (const std::vector<RequestId>& list : members_) {
+    MINREJ_REQUIRE(all_below(list, n),
+                   "engine snapshot member id out of range");
+  }
+  MINREJ_REQUIRE(std::all_of(journal_.begin(), journal_.end(),
+                             [n](const JournalEntry& e) { return e.id < n; }) &&
+                     all_below(journal_pos_, journal_.size() + 1) &&
+                     large_edges_ <= substrate_.col_count,
+                 "engine snapshot journal or edge counters out of range");
   touched_.clear();
   deaths_.clear();
   deltas_.clear();
@@ -198,10 +218,11 @@ void NaiveFractionalEngine::load_state(SnapshotReader& r) {
   zero_init_ = r.f64();
   MINREJ_REQUIRE(zero_init_ > 0.0 && zero_init_ <= 1.0,
                  "snapshot zero_init out of range");
-  const std::uint64_t n = r.u64();
+  // Per record: u64 edge-list length, 5 f64, u64 epoch, 2 bools.
+  const std::size_t n = r.count(58);
   requests_.clear();
-  requests_.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
+  requests_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
     RequestRecord rec;
     rec.edges = r.vec<EdgeId>();
     rec.weight = r.f64();
@@ -280,10 +301,11 @@ void FractionalAdmission::load_state(SnapshotReader& r) {
       "restore requires the same factory");
   alpha_ = r.f64();
   phase_count_ = r.u64();
-  const std::uint64_t n = r.u64();
+  // Per record: u64 + u32 + f64 + u8 + bool + u32.
+  const std::size_t n = r.count(26);
   records_.clear();
-  records_.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
+  records_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
     Record rec;
     rec.edge_begin = static_cast<std::size_t>(r.u64());
     rec.edge_count = r.u32();
@@ -349,22 +371,23 @@ void OnlineAdmissionAlgorithm::load_snapshot(SnapshotReader& r) {
   MINREJ_REQUIRE(stream_name == name(),
                  "snapshot algorithm is '" + stream_name +
                      "' but this instance is '" + name() + "'");
-  const std::uint64_t n = r.u64();
+  // Per request: u64 edge-list length, f64 cost, bool must_accept.
+  const std::size_t n = r.count(17);
   requests_.clear();
-  requests_.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
+  requests_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
     Request req;
     req.edges = r.vec<EdgeId>();
     req.cost = r.f64();
     req.must_accept = r.boolean();
     requests_.push_back(std::move(req));
   }
-  const std::uint64_t state_count = r.u64();
+  const std::size_t state_count = r.count(1);
   MINREJ_REQUIRE(state_count == n,
                  "snapshot state array does not match the request array");
   states_.clear();
-  states_.reserve(static_cast<std::size_t>(state_count));
-  for (std::uint64_t i = 0; i < state_count; ++i) {
+  states_.reserve(state_count);
+  for (std::size_t i = 0; i < state_count; ++i) {
     states_.push_back(static_cast<RequestState>(r.u8()));
   }
   usage_ = r.vec<std::int64_t>();

@@ -43,6 +43,16 @@ class TokenReader {
     return value;
   }
 
+  /// An id or a vertex count: any value outside the uint32_t range is
+  /// rejected here, before a narrowing cast could wrap it onto a valid id.
+  std::uint32_t next_id(const char* what) {
+    const long long value = next_int(what);
+    MINREJ_REQUIRE(value >= 0 && value <= 0xFFFFFFFFLL,
+                   std::string(what) + " out of range: " +
+                       std::to_string(value));
+    return static_cast<std::uint32_t>(value);
+  }
+
   double next_double(const char* what) {
     const std::string token = next(what);
     std::size_t pos = 0;
@@ -107,21 +117,22 @@ AdmissionInstance load_admission_instance(std::istream& in) {
   MINREJ_REQUIRE(reader.next_int("format version") == 1,
                  "unsupported admission format version");
   reader.expect("graph");
-  const long long vertices = reader.next_int("vertex count");
+  const std::uint32_t vertices = reader.next_id("vertex count");
   const long long edge_count = reader.next_int("edge count");
   MINREJ_REQUIRE(vertices > 0 && edge_count >= 0, "bad graph header");
 
+  // Counts are never reserved ahead of the data: every loop below is
+  // bounded by the input itself and fails at EOF with InvalidArgument.
   std::vector<Edge> edges;
-  edges.reserve(static_cast<std::size_t>(edge_count));
   for (long long i = 0; i < edge_count; ++i) {
     reader.expect("e");
     Edge e;
-    e.from = static_cast<VertexId>(reader.next_int("edge source"));
-    e.to = static_cast<VertexId>(reader.next_int("edge target"));
+    e.from = reader.next_id("edge source");
+    e.to = reader.next_id("edge target");
     e.capacity = reader.next_int("edge capacity");
     edges.push_back(e);
   }
-  Graph graph(static_cast<std::size_t>(vertices), std::move(edges));
+  Graph graph(vertices, std::move(edges));
 
   std::vector<Request> requests;
   std::string token;
@@ -138,10 +149,8 @@ AdmissionInstance load_admission_instance(std::istream& in) {
     const long long k = reader.next_int("request edge count");
     MINREJ_REQUIRE(k >= 1, "request needs at least one edge");
     std::vector<EdgeId> request_edges;
-    request_edges.reserve(static_cast<std::size_t>(k));
     for (long long i = 0; i < k; ++i) {
-      request_edges.push_back(
-          static_cast<EdgeId>(reader.next_int("request edge id")));
+      request_edges.push_back(reader.next_id("request edge id"));
     }
     requests.emplace_back(std::move(request_edges), cost, must_accept == 1);
   }
@@ -170,36 +179,31 @@ CoverInstance load_cover_instance(std::istream& in) {
   MINREJ_REQUIRE(reader.next_int("format version") == 1,
                  "unsupported setcover format version");
   reader.expect("system");
-  const long long n = reader.next_int("element count");
+  const std::uint32_t n = reader.next_id("element count");
   const long long m = reader.next_int("set count");
   MINREJ_REQUIRE(n > 0 && m > 0, "bad system header");
 
   std::vector<std::vector<ElementId>> sets;
   std::vector<double> costs;
-  sets.reserve(static_cast<std::size_t>(m));
-  costs.reserve(static_cast<std::size_t>(m));
   for (long long s = 0; s < m; ++s) {
     reader.expect("s");
     costs.push_back(reader.next_double("set cost"));
     const long long k = reader.next_int("set size");
     MINREJ_REQUIRE(k >= 1, "sets must be non-empty");
     std::vector<ElementId> members;
-    members.reserve(static_cast<std::size_t>(k));
     for (long long i = 0; i < k; ++i) {
-      members.push_back(static_cast<ElementId>(reader.next_int("element id")));
+      members.push_back(reader.next_id("element id"));
     }
     sets.push_back(std::move(members));
   }
-  SetSystem system(static_cast<std::size_t>(n), std::move(sets),
-                   std::move(costs));
+  SetSystem system(n, std::move(sets), std::move(costs));
 
   reader.expect("arrivals");
   const long long count = reader.next_int("arrival count");
   MINREJ_REQUIRE(count >= 0, "bad arrival count");
   std::vector<ElementId> arrivals;
-  arrivals.reserve(static_cast<std::size_t>(count));
   for (long long i = 0; i < count; ++i) {
-    arrivals.push_back(static_cast<ElementId>(reader.next_int("arrival")));
+    arrivals.push_back(reader.next_id("arrival"));
   }
   return CoverInstance(std::move(system), std::move(arrivals));
 }

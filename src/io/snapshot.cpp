@@ -169,17 +169,19 @@ std::uint64_t SnapshotReader::u64() {
 }
 
 std::string SnapshotReader::str() {
-  const std::uint64_t n = u64();
-  guard_count(n, 1);
-  const auto b = take(static_cast<std::size_t>(n));
+  const auto b = take(count(1));
   return std::string(reinterpret_cast<const char*>(b.data()), b.size());
 }
 
 std::vector<std::uint8_t> SnapshotReader::blob() {
-  const std::uint64_t n = u64();
-  guard_count(n, 1);
-  const auto b = take(static_cast<std::size_t>(n));
+  const auto b = take(count(1));
   return std::vector<std::uint8_t>(b.begin(), b.end());
+}
+
+std::size_t SnapshotReader::count(std::size_t min_item_bytes) {
+  const std::uint64_t n = u64();
+  guard_count(n, min_item_bytes);
+  return static_cast<std::size_t>(n);
 }
 
 void SnapshotReader::expect_tag(std::string_view four_cc) {
@@ -194,11 +196,10 @@ void SnapshotReader::expect_tag(std::string_view four_cc) {
 }
 
 std::vector<bool> SnapshotReader::bit_vec() {
-  const std::uint64_t n = u64();
-  guard_count(n, 1);
+  const std::size_t n = count(1);
   std::vector<bool> v;
-  v.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(boolean());
+  v.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) v.push_back(boolean());
   return v;
 }
 

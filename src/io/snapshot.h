@@ -128,15 +128,18 @@ class SnapshotReader {
   void expect_tag(std::string_view four_cc);
   /// Reads a length-prefixed raw byte block written by SnapshotWriter::blob.
   std::vector<std::uint8_t> blob();
+  /// Reads a u64 count of items that each take at least `min_item_bytes`
+  /// of the payload.  A count larger than the bytes left fails here as
+  /// InvalidArgument instead of driving a huge reserve.
+  std::size_t count(std::size_t min_item_bytes);
 
   template <typename T>
   std::vector<T> vec() {
     static_assert(std::is_arithmetic_v<T> || std::is_enum_v<T>);
-    const std::uint64_t n = u64();
-    guard_count(n, element_size<T>());
+    const std::size_t n = count(element_size<T>());
     std::vector<T> v;
-    v.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) v.push_back(scalar<T>());
+    v.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) v.push_back(scalar<T>());
     return v;
   }
 

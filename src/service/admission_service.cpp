@@ -54,16 +54,6 @@ std::uint64_t capacity_fingerprint(const Graph& graph) noexcept {
   return splitmix64(state);
 }
 
-/// Reads a count of snapshot items that each take at least `min_bytes`
-/// of the payload.  A hostile count fails here as InvalidArgument instead
-/// of driving a huge allocation (std::length_error / bad_alloc).
-std::size_t read_count(SnapshotReader& r, std::size_t min_bytes) {
-  const std::uint64_t n = r.u64();
-  MINREJ_REQUIRE(n <= r.remaining() / min_bytes,
-                 "snapshot count exceeds the bytes present");
-  return static_cast<std::size_t>(n);
-}
-
 }  // namespace
 
 AdmissionService::AdmissionService(const Graph& graph,
@@ -694,13 +684,13 @@ void AdmissionService::restore(std::span<const std::uint8_t> blob) {
   MINREJ_REQUIRE(r.version() == kServiceSnapshotVersion,
                  "unsupported service snapshot version");
   r.expect_tag("SRVC");
-  const std::size_t source_shards = read_count(r, 1);
+  const std::size_t source_shards = r.count(1);
   MINREJ_REQUIRE(r.u64() == graph_.edge_count(),
                  "snapshot was taken on a graph with a different edge count");
   MINREJ_REQUIRE(r.u64() == capacity_fingerprint(graph_),
                  "snapshot was taken on a graph with different capacities");
   const bool has_log = r.boolean();
-  const std::size_t arrival_count = read_count(r, 8);  // u32 shard + u32 id
+  const std::size_t arrival_count = r.count(8);  // u32 shard + u32 id
   std::vector<std::pair<std::uint32_t, RequestId>> placements;
   placements.reserve(arrival_count);
   for (std::size_t i = 0; i < arrival_count; ++i) {
@@ -729,7 +719,7 @@ void AdmissionService::restore(std::span<const std::uint8_t> blob) {
       shard.injected_delays = static_cast<std::size_t>(r.u64());
       shard.quarantined = r.boolean();
       shard.degraded = r.boolean();
-      const std::size_t log_size = read_count(r, 1);
+      const std::size_t log_size = r.count(1);
       shard.log.reserve(log_size);
       for (std::size_t j = 0; j < log_size; ++j) {
         LogEntry entry;
@@ -776,7 +766,7 @@ void AdmissionService::restore(std::span<const std::uint8_t> blob) {
     for (int skip = 0; skip < 7; ++skip) r.u64();  // counters
     r.boolean();  // quarantined
     r.boolean();  // degraded
-    const std::size_t log_size = read_count(r, 1);
+    const std::size_t log_size = r.count(1);
     logs[s].reserve(log_size);
     for (std::size_t j = 0; j < log_size; ++j) {
       Request request;

@@ -1,102 +1,20 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <utility>
-
-#include "util/check.h"
+#include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace minrej {
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() { shutdown(); }
-
-void ThreadPool::shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) return;  // idempotent
-    stop_ = true;
-  }
-  cv_task_.notify_all();
-  // Workers only exit their loop once the queue is drained (see
-  // worker_loop), so joining here guarantees every task submitted before
-  // shutdown() ran to completion — the deterministic-drain contract.
-  for (std::thread& w : workers_) {
-    if (w.joinable()) w.join();
-  }
-}
-
-bool ThreadPool::is_shutdown() const noexcept {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stop_;
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  MINREJ_REQUIRE(static_cast<bool>(task), "submit: empty task");
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    MINREJ_CHECK(!stop_, "submit after shutdown");
-    queue_.push_back(std::move(task));
-  }
-  cv_task_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-  if (task_error_) {
-    std::exception_ptr error = std::exchange(task_error_, nullptr);
-    lock.unlock();
-    std::rethrow_exception(error);
-  }
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_task_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ and drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++active_;
-    }
-    std::exception_ptr escaped;
-    try {
-      task();
-    } catch (...) {
-      escaped = std::current_exception();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (escaped && !task_error_) task_error_ = std::move(escaped);
-      --active_;
-      if (queue_.empty() && active_ == 0) cv_idle_.notify_all();
-    }
-  }
-}
-
 void parallel_for_index(std::size_t count,
                         const std::function<void(std::size_t)>& body,
-                        std::size_t threads, std::size_t grain) {
+                        std::size_t threads) {
   if (count == 0) return;
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  grain = std::max<std::size_t>(1, grain);
-  // The grain caps the useful parallelism: never split the range into
-  // slices smaller than `grain`, so a tiny range runs on few threads (or
-  // inline) regardless of how wide the machine is.
-  threads = std::min(threads, (count + grain - 1) / grain);
   threads = std::min(threads, count);
   if (threads == 1) {
     for (std::size_t i = 0; i < count; ++i) body(i);
@@ -108,8 +26,7 @@ void parallel_for_index(std::size_t count,
   std::vector<std::thread> team;
   team.reserve(threads);
 
-  const std::size_t chunk =
-      std::max(grain, (count + threads - 1) / threads);
+  const std::size_t chunk = (count + threads - 1) / threads;
   for (std::size_t w = 0; w < threads; ++w) {
     const std::size_t begin = w * chunk;
     const std::size_t end = std::min(count, begin + chunk);

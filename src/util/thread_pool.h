@@ -1,80 +1,23 @@
-// thread_pool.h — fixed-size worker pool and parallel_for for sweeps.
+// thread_pool.h — fork-join parallel_for over an index range.
 //
 // The experiment harness runs thousands of independent online-algorithm
-// trials (seeds × parameter points).  ThreadPool provides a plain
-// work-queue executor; parallel_for_index slices an index range over the
-// pool with per-worker chunking so that per-trial RNGs stay deterministic
-// (trial i always uses seed base+i, regardless of scheduling).
+// trials (seeds × parameter points).  parallel_for_index slices the trial
+// index range over a team of threads so that per-trial RNGs stay
+// deterministic (trial i always uses seed base+i, regardless of
+// scheduling).
 //
 // Design choices (C++ Core Guidelines CP.*):
-//  * RAII: the destructor joins all workers; no detached threads.
-//  * No task futures: the sweep pattern is fork-join, so parallel_for
-//    blocks until every index is processed and rethrows the first
-//    exception raised by any worker.
+//  * RAII: every thread is joined before the call returns; no detached
+//    threads.
+//  * No task futures: the sweep pattern is fork-join, so the call blocks
+//    until every index is processed and rethrows the first exception
+//    raised by any worker.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace minrej {
-
-/// Fixed-size thread pool with a FIFO task queue.
-class ThreadPool {
- public:
-  /// Spawns `threads` workers (defaults to hardware concurrency, min 1).
-  explicit ThreadPool(std::size_t threads = 0);
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Equivalent to shutdown().
-  ~ThreadPool();
-
-  std::size_t thread_count() const noexcept { return workers_.size(); }
-
-  /// Deterministic shutdown: every task submitted before this call —
-  /// queued or in flight — runs to completion, then all workers join.
-  /// Idempotent; submit() after shutdown throws.  A task error captured
-  /// but never observed is dropped silently (same as destruction), but a
-  /// wait_idle() *before* shutdown still surfaces it — call wait_idle
-  /// first when failures matter.
-  void shutdown();
-
-  /// True once shutdown() (or the destructor) has begun.
-  bool is_shutdown() const noexcept;
-
-  /// Enqueues a task.  A task that throws does not kill its worker: the
-  /// first escaped exception is captured and rethrown by the next
-  /// wait_idle() (later ones are dropped — fork-join callers care that
-  /// *something* failed, and the first failure is the deterministic one to
-  /// report).  The pool stays usable afterwards.
-  void submit(std::function<void()> task);
-
-  /// Blocks until the queue is empty and all workers are idle, then
-  /// rethrows the first exception any task threw since the last
-  /// wait_idle() (clearing it, so the pool is reusable after a failure).
-  void wait_idle();
-
- private:
-  void worker_loop();
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_task_;
-  std::condition_variable cv_idle_;
-  std::deque<std::function<void()>> queue_;
-  std::vector<std::thread> workers_;
-  std::size_t active_ = 0;
-  bool stop_ = false;
-  /// First exception thrown by a task since the last wait_idle() (guarded
-  /// by mu_).  See submit() for the capture contract.
-  std::exception_ptr task_error_;
-};
 
 /// Runs body(i) for every i in [0, count) across `threads` workers.
 ///
@@ -83,14 +26,8 @@ class ThreadPool {
 /// first exception thrown by any body is rethrown in the caller.
 /// threads == 0 selects hardware concurrency; count == 0 is a no-op;
 /// with one available thread everything runs inline (no spawn).
-///
-/// `grain` is the minimum slice size: no thread is spawned for fewer than
-/// `grain` indices, so tiny ranges run inline instead of paying a thread
-/// spawn per handful of iterations.  The slice boundaries depend only on
-/// (count, threads, grain) — never on scheduling — so the
-/// workload-to-thread mapping stays deterministic at every grain.
 void parallel_for_index(std::size_t count,
                         const std::function<void(std::size_t)>& body,
-                        std::size_t threads = 0, std::size_t grain = 1);
+                        std::size_t threads = 0);
 
 }  // namespace minrej

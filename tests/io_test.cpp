@@ -147,6 +147,46 @@ TEST(InstanceIo, CoverRejectsInvalidStructure) {
   EXPECT_THROW(load_cover_instance(bad_arrival), InvalidArgument);
 }
 
+// Hostile numbers: a count larger than the file must fail at EOF, not
+// drive a reserve (std::length_error); an id past uint32_t must fail, not
+// wrap onto a valid id.
+TEST(InstanceIo, RejectsAHugeEdgeCountWithoutAllocating) {
+  std::stringstream in("minrej-admission 1\ngraph 2 4000000000000000000\n");
+  EXPECT_THROW(load_admission_instance(in), InvalidArgument);
+}
+
+TEST(InstanceIo, RejectsAHugeVertexCount) {
+  std::stringstream in("minrej-admission 1\ngraph 4000000000000000000 0\n");
+  EXPECT_THROW(load_admission_instance(in), InvalidArgument);
+}
+
+TEST(InstanceIo, RejectsAHugeRequestEdgeCountWithoutAllocating) {
+  std::stringstream in(
+      "minrej-admission 1\ngraph 2 1\ne 0 1 1\n"
+      "r 1 0 4000000000000000000 0\n");
+  EXPECT_THROW(load_admission_instance(in), InvalidArgument);
+}
+
+TEST(InstanceIo, RejectsAHugeArrivalCountWithoutAllocating) {
+  std::stringstream in(
+      "minrej-setcover 1\nsystem 1 1\ns 1.0 1 0\n"
+      "arrivals 4000000000000000000 0\n");
+  EXPECT_THROW(load_cover_instance(in), InvalidArgument);
+}
+
+TEST(InstanceIo, RejectsIdsThatWouldWrapPastUint32) {
+  // 4294967296 == 2^32 would narrow to edge 0 of this one-edge graph.
+  std::stringstream request(
+      "minrej-admission 1\ngraph 2 1\ne 0 1 1\nr 1 0 1 4294967296\n");
+  EXPECT_THROW(load_admission_instance(request), InvalidArgument);
+  std::stringstream endpoint(
+      "minrej-admission 1\ngraph 2 1\ne 4294967296 1 1\n");
+  EXPECT_THROW(load_admission_instance(endpoint), InvalidArgument);
+  std::stringstream arrival(
+      "minrej-setcover 1\nsystem 1 1\ns 1.0 1 0\narrivals 1 4294967296\n");
+  EXPECT_THROW(load_cover_instance(arrival), InvalidArgument);
+}
+
 TEST(InstanceIo, FileHelpersAndKindDetection) {
   Rng rng(3);
   const std::string admission_path = "/tmp/minrej_io_test_admission.txt";

@@ -10,9 +10,14 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/baselines.h"
+#include "core/fractional_admission.h"
+#include "core/fractional_engine.h"
+#include "core/naive_engine.h"
+#include "graph/generators.h"
 #include "io/snapshot.h"
 #include "service/admission_service.h"
 #include "sim/workloads.h"
@@ -309,29 +314,49 @@ TEST(ServiceSnapshot, ReshardWithoutALogIsRejected) {
   EXPECT_THROW(resharded.restore(blob), InvalidArgument);
 }
 
-/// Overwrites `width` little-endian bytes at `offset` of a service
-/// snapshot's payload with `value` and re-seals the container (fresh
-/// FNV-1a 64 checksum), so the tampered field gets past the container
-/// check and reaches AdmissionService::restore's own parser — the shape of
-/// a hostile or buggy producer, not of transport corruption.
-std::vector<std::uint8_t> reseal_tampered(std::vector<std::uint8_t> blob,
-                                          std::size_t offset,
-                                          std::uint64_t value,
-                                          std::size_t width) {
+/// Replaces `erase` bytes at payload `offset` of a sealed snapshot of
+/// stream `kind` with `insert` and re-seals the container (payload size
+/// and a fresh FNV-1a 64 checksum), so the tampered field gets past the
+/// container check and reaches the consumer's own parser — the shape of a
+/// hostile or buggy producer, not of transport corruption.
+std::vector<std::uint8_t> reseal_spliced(
+    std::vector<std::uint8_t> blob, std::string_view kind, std::size_t offset,
+    std::size_t erase, const std::vector<std::uint8_t>& insert) {
   // Container header: magic, u32 container version, u64-prefixed kind,
   // u32 stream version, u64 payload size, u64 payload checksum.
-  const std::size_t payload_at =
-      4 + 4 + 8 + std::string("minrej.service").size() + 4 + 8 + 8;
-  for (std::size_t b = 0; b < width; ++b) {
-    blob.at(payload_at + offset + b) =
-        static_cast<std::uint8_t>(value >> (8 * b));
-  }
+  const std::size_t payload_at = 4 + 4 + 8 + kind.size() + 4 + 8 + 8;
+  const auto at =
+      blob.begin() + static_cast<std::ptrdiff_t>(payload_at + offset);
+  blob.insert(blob.erase(at, at + static_cast<std::ptrdiff_t>(erase)),
+              insert.begin(), insert.end());
+  const std::uint64_t size = blob.size() - payload_at;
   const std::uint64_t checksum = fnv1a64(
       std::span<const std::uint8_t>(blob).subspan(payload_at));
   for (std::size_t b = 0; b < 8; ++b) {
+    blob[payload_at - 16 + b] = static_cast<std::uint8_t>(size >> (8 * b));
     blob[payload_at - 8 + b] = static_cast<std::uint8_t>(checksum >> (8 * b));
   }
   return blob;
+}
+
+std::vector<std::uint8_t> little_endian(std::uint64_t value,
+                                        std::size_t width) {
+  std::vector<std::uint8_t> out(width);
+  for (std::size_t b = 0; b < width; ++b) {
+    out[b] = static_cast<std::uint8_t>(value >> (8 * b));
+  }
+  return out;
+}
+
+/// Overwrites `width` little-endian bytes at payload `offset` with `value`
+/// and re-seals (see reseal_spliced).
+std::vector<std::uint8_t> reseal_tampered(std::vector<std::uint8_t> blob,
+                                          std::string_view kind,
+                                          std::size_t offset,
+                                          std::uint64_t value,
+                                          std::size_t width) {
+  return reseal_spliced(std::move(blob), kind, offset, width,
+                        little_endian(value, width));
 }
 
 TEST(ServiceSnapshot, RestoreRejectsHostileCountsAndPlacements) {
@@ -340,6 +365,7 @@ TEST(ServiceSnapshot, RestoreRejectsHostileCountsAndPlacements) {
   // (u32 shard, u32 local id) pair per arrival from @37, the u64-prefixed
   // decision modes (8 bytes each), and per shard "SHRD", 7 u64 counters,
   // 2 bools and the u64 log size.
+  constexpr std::string_view kService = "minrej.service";
   const AdmissionInstance inst = make_mixed_instance(20, 21);
   ServiceConfig cfg;
   cfg.shards = 2;
@@ -352,13 +378,15 @@ TEST(ServiceSnapshot, RestoreRejectsHostileCountsAndPlacements) {
   const auto restore_throws = [&](std::size_t offset, std::uint64_t value,
                                   std::size_t width) {
     AdmissionService fresh(inst.graph(), greedy_factory(), cfg);
-    EXPECT_THROW(fresh.restore(reseal_tampered(blob, offset, value, width)),
+    EXPECT_THROW(fresh.restore(
+                     reseal_tampered(blob, kService, offset, value, width)),
                  InvalidArgument)
         << "offset " << offset << " value " << value;
   };
   // The untampered re-seal restores cleanly (the offsets are right).
   AdmissionService control(inst.graph(), greedy_factory(), cfg);
-  control.restore(reseal_tampered(blob, 37, source.placement(0).first, 4));
+  control.restore(
+      reseal_tampered(blob, kService, 37, source.placement(0).first, 4));
   EXPECT_EQ(control.arrivals(), n);
 
   const std::uint64_t huge = std::uint64_t{1} << 61;
@@ -367,6 +395,167 @@ TEST(ServiceSnapshot, RestoreRejectsHostileCountsAndPlacements) {
   restore_throws(first_log_size, huge, 8);  // shard 0's log size
   restore_throws(37, 7, 4);                 // placement names shard 7 of 2
   restore_throws(41, 1000, 4);              // local id past the shard's count
+}
+
+// ---------------------------------------------------------------------------
+// Engine and algorithm snapshots: hostile counts and indices
+// ---------------------------------------------------------------------------
+
+/// Payload offsets of the fields the flat engine's load_state must
+/// validate, found by walking a real save_state stream.  Count/prefix
+/// offsets point at the u64 length; a vector's first element sits 8 bytes
+/// past it.
+struct FlatEngineLayout {
+  std::size_t hot_count = 0, edge_begin = 0, edge_pool = 0,
+              first_member = 0, journal_pos = 0, journal_count = 0,
+              large_edges = 0;
+};
+
+FlatEngineLayout walk_flat_engine(const std::vector<std::uint8_t>& blob,
+                                  std::size_t payload_size) {
+  SnapshotReader r(blob, "engine");
+  const auto pos = [&] { return payload_size - r.remaining(); };
+  FlatEngineLayout at;
+  r.expect_tag("FENG");
+  r.str();  // engine kind
+  r.f64();  // zero_init
+  r.u64();  // small-list threshold
+  at.hot_count = pos();
+  const std::size_t n = r.count(32);
+  for (std::size_t i = 0; i < 4 * n; ++i) r.u64();
+  at.edge_begin = pos();
+  r.vec<std::uint64_t>();
+  at.edge_pool = pos();
+  r.vec<std::uint64_t>();
+  for (int i = 0; i < 3; ++i) r.vec<std::uint64_t>();  // cost, alive, pinned
+  const std::size_t cols = r.count(8);
+  for (std::size_t c = 0; c < cols; ++c) {
+    const std::size_t list = pos();
+    if (!r.vec<std::uint64_t>().empty() && at.first_member == 0) {
+      at.first_member = list + 8;
+    }
+  }
+  for (int i = 0; i < 4; ++i) r.vec<std::uint64_t>();  // per-edge counters
+  at.journal_pos = pos();
+  r.vec<std::uint64_t>();
+  at.journal_count = pos();
+  const std::size_t journal = r.count(12);
+  for (std::size_t i = 0; i < journal; ++i) {
+    r.u32();
+    r.f64();
+  }
+  at.large_edges = pos();
+  return at;
+}
+
+TEST(EngineSnapshot, FlatLoadRejectsHostileCountsAndIndices) {
+  // Five requests on three capacity-1 edges; threshold 0 puts every list
+  // in the incremental regime.
+  const Graph g = make_line_graph(3, 1);
+  FlatFractionalEngine source(g, 0.25, /*small_list_threshold=*/0);
+  source.arrive({0, 1}, 1.0, 1.0);
+  source.arrive({1, 2}, 1.0, 1.0);
+  source.arrive({0}, 1.0, 1.0);
+  source.arrive({2}, 1.0, 1.0);
+  source.arrive({0, 1, 2}, 1.0, 1.0);
+  SnapshotWriter w("engine", 1);
+  source.save_state(w);
+  const std::size_t payload_size = w.payload_size();
+  const std::vector<std::uint8_t> blob = w.finish();
+  const FlatEngineLayout at = walk_flat_engine(blob, payload_size);
+  ASSERT_NE(at.first_member, 0u);
+
+  const auto load = [&](const std::vector<std::uint8_t>& bytes) {
+    FlatFractionalEngine fresh(g, 0.25, 0);
+    SnapshotReader r(bytes, "engine");
+    fresh.load_state(r);
+    r.expect_end();
+    return fresh.alive_requests(0).size();
+  };
+  const auto load_throws = [&](const std::vector<std::uint8_t>& bytes,
+                               const char* what) {
+    EXPECT_THROW(load(bytes), InvalidArgument) << what;
+  };
+  const auto tamper = [&](std::size_t offset, std::uint64_t value) {
+    return reseal_tampered(blob, "engine", offset, value, 8);
+  };
+  // Replaces the (empty) journal with one entry naming request `id`.
+  const auto append_entry = [&](std::uint32_t id) {
+    std::vector<std::uint8_t> bytes = little_endian(1, 8);  // journal size
+    const auto le_id = little_endian(id, 4);
+    bytes.insert(bytes.end(), le_id.begin(), le_id.end());
+    bytes.resize(bytes.size() + 8, 0);  // delta 0.0
+    return reseal_spliced(blob, "engine", at.journal_count, 8, bytes);
+  };
+  // Controls: rewriting the hot-row count with its own value and splicing
+  // an in-range journal entry both load, so the offsets below are right.
+  EXPECT_EQ(load(tamper(at.hot_count, 5)), source.alive_requests(0).size());
+  EXPECT_NO_THROW(load(append_entry(4)));
+
+  const std::uint64_t huge = std::uint64_t{1} << 61;
+  load_throws(tamper(at.hot_count, huge), "hot-row count");
+  load_throws(tamper(at.journal_count, huge), "journal count");
+  load_throws(tamper(at.first_member, 50'000'000), "member id");
+  load_throws(tamper(at.edge_pool + 8, 3), "edge id == column count");
+  load_throws(tamper(at.edge_begin + 8, 1), "edge_begin_ not from 0");
+  load_throws(tamper(at.edge_begin + 16, 100), "edge_begin_ decreasing");
+  load_throws(append_entry(5), "journal id == request count");
+  load_throws(tamper(at.journal_pos + 8, 1), "journal cursor past end");
+  load_throws(tamper(at.large_edges, 4), "large edges > column count");
+}
+
+TEST(EngineSnapshot, RecordCountsAreBoundedByThePayload) {
+  const std::uint64_t huge = std::uint64_t{1} << 61;
+  const Graph g = make_line_graph(3, 1);
+  {
+    // Naive engine: "FENG", "naive" (u64-prefixed), f64 zero_init, then
+    // the record count at 25.
+    NaiveFractionalEngine source(g, 0.25);
+    source.arrive({0, 1}, 1.0, 1.0);
+    SnapshotWriter w("engine", 1);
+    source.save_state(w);
+    NaiveFractionalEngine fresh(g, 0.25);
+    const auto bytes = reseal_tampered(w.finish(), "engine", 25, huge, 8);
+    SnapshotReader r(bytes, "engine");
+    EXPECT_THROW(fresh.load_state(r), InvalidArgument) << "naive records";
+  }
+  {
+    // Wrapper: "FADM", bool, f64, bool, f64, f64 alpha, u64 phase, then
+    // the record count at 38.
+    FractionalAdmission source(g);
+    source.on_request(Request({0, 1}, 1.0));
+    SnapshotWriter w("wrapper", 1);
+    source.save_state(w);
+    FractionalAdmission fresh(g);
+    const auto bytes = reseal_tampered(w.finish(), "wrapper", 38, huge, 8);
+    SnapshotReader r(bytes, "wrapper");
+    EXPECT_THROW(fresh.load_state(r), InvalidArgument) << "wrapper records";
+  }
+  // Algorithm base: "ALGO", the u64-prefixed name, the request count, the
+  // requests, then the state count.
+  GreedyNoPreempt source(g);
+  source.process(Request({0, 1}, 1.0));
+  source.process(Request({2}, 1.0));
+  SnapshotWriter w("algo", 1);
+  source.save_snapshot(w);
+  const std::size_t payload_size = w.payload_size();
+  const auto blob = w.finish();
+  SnapshotReader walk(blob, "algo");
+  walk.expect_tag("ALGO");
+  walk.str();
+  const std::size_t requests_at = payload_size - walk.remaining();
+  for (std::size_t i = walk.count(17); i > 0; --i) {
+    walk.vec<std::uint64_t>();
+    walk.f64();
+    walk.boolean();
+  }
+  const std::size_t states_at = payload_size - walk.remaining();
+  for (const std::size_t offset : {requests_at, states_at}) {
+    GreedyNoPreempt fresh(g);
+    const auto bytes = reseal_tampered(blob, "algo", offset, huge, 8);
+    SnapshotReader r(bytes, "algo");
+    EXPECT_THROW(fresh.load_snapshot(r), InvalidArgument) << offset;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 // SetSystem facade over it, the zero-copy §4 ReductionView, and the
 // engine's compile-time substrate binding (DESIGN.md §7).
 //
-// The two load-bearing suites are differential: ReductionView must be
-// *decision-identical* to the retained materializing reduction path on
-// randomized set systems (including repeated arrivals), and the engine
+// The two load-bearing suites are differential: FractionalSetCover over
+// ReductionView must be *decision-identical* to FractionalAdmission over
+// the materialized reduction (build_reduction) on randomized set systems
+// (including repeated arrivals), and the engine
 // bound to a CoveringInstance (capacity = degree) must behave exactly like
 // the engine bound to the reduction's star graph.
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "core/covering_instance.h"
+#include "core/fractional_admission.h"
 #include "core/fractional_engine.h"
 #include "core/fractional_setcover.h"
 #include "core/naive_engine.h"
@@ -227,30 +229,37 @@ TEST(ReductionView, RejectsZeroDegreeElements) {
 }
 
 // ---------------------------------------------------------------------------
-// Decision identity: view-backed vs materialized FractionalSetCover
+// Decision identity: view-backed FractionalSetCover vs the materialized
+// reduction
 // ---------------------------------------------------------------------------
 
-/// Runs the same arrival sequence through both reduction bindings and
-/// asserts identical observable state after every arrival.  Exact
-/// equality on purpose: both paths drive the same engine arithmetic over
-/// the same capacities, so any divergence is a real reduction bug.
+/// Runs the same arrival sequence through FractionalSetCover (bound to the
+/// substrate through ReductionView) and through the oracle built here from
+/// the materialized reduction — FractionalAdmission over build_reduction's
+/// star graph, fed its phase-1 Request copies, then one phase-2 element
+/// request per arrival — and asserts identical observable state after
+/// every arrival.  Exact equality on purpose: both paths drive the same
+/// engine arithmetic over the same capacities, so any divergence is a real
+/// reduction bug.
 void expect_view_matches_materialized(const SetSystem& sys,
                                       const std::vector<ElementId>& arrivals) {
-  FractionalSetCover via_view(sys, {}, ReductionMode::kView);
-  FractionalSetCover via_mat(sys, {}, ReductionMode::kMaterialized);
-  ASSERT_EQ(via_view.mode(), ReductionMode::kView);
-  ASSERT_EQ(via_mat.mode(), ReductionMode::kMaterialized);
+  FractionalSetCover via_view(sys);
+  const ReductionInstance red = build_reduction(sys);
+  FractionalConfig cfg;
+  cfg.unit_costs = sys.unit_costs();
+  FractionalAdmission via_mat(red.graph, cfg);
+  for (const Request& r : red.phase1) via_mat.on_request(r);
   for (std::size_t t = 0; t < arrivals.size(); ++t) {
     const ElementId j = arrivals[t];
     via_view.on_element(j);
-    via_mat.on_element(j);
-    ASSERT_EQ(via_view.demand(j), via_mat.demand(j));
+    via_mat.on_request(red.element_request(j));
     EXPECT_DOUBLE_EQ(via_view.fractional_cost(), via_mat.fractional_cost())
         << "arrival " << t;
     EXPECT_EQ(via_view.augmentations(), via_mat.augmentations())
         << "arrival " << t;
     for (SetId s = 0; s < sys.set_count(); ++s) {
-      EXPECT_DOUBLE_EQ(via_view.fraction(s), via_mat.fraction(s))
+      EXPECT_DOUBLE_EQ(via_view.fraction(s),
+                       via_mat.weight(static_cast<RequestId>(s)))
           << "arrival " << t << " set " << s;
     }
     if (::testing::Test::HasFailure()) {

@@ -1,147 +1,28 @@
-// Tests for util/thread_pool failure paths: task exceptions must not kill
-// workers, wait_idle must surface exactly the first failure, and the pool
-// must stay usable afterwards (the fault-tolerant service pump leans on
-// all three — a shard task that throws is retried on the same pool).
+// Tests for util/thread_pool's parallel_for_index: every index runs
+// exactly once whatever the team size, and a body's exception reaches the
+// caller after the team has joined.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <stdexcept>
-#include <string>
-#include <thread>
+#include <vector>
 
 #include "util/thread_pool.h"
 
 namespace minrej {
 namespace {
 
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleRethrowsATaskException) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("task boom"); });
-  try {
-    pool.wait_idle();
-    FAIL() << "expected the task exception to propagate";
-  } catch (const std::runtime_error& e) {
-    EXPECT_EQ(std::string(e.what()), "task boom");
-  }
-}
-
-TEST(ThreadPool, AThrowingTaskDoesNotKillItsWorker) {
-  // One worker: the throwing task and the follow-up run on the same
-  // thread, so the follow-up only runs if the worker survived.
-  ThreadPool pool(1);
-  std::atomic<bool> ran{false};
-  pool.submit([] { throw std::runtime_error("boom"); });
-  pool.submit([&ran] { ran = true; });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  EXPECT_TRUE(ran.load());
-}
-
-TEST(ThreadPool, OnlyTheFirstExceptionIsReported) {
-  // Serialize on one worker so "first" is well-defined.
-  ThreadPool pool(1);
-  pool.submit([] { throw std::runtime_error("first"); });
-  pool.submit([] { throw std::runtime_error("second"); });
-  try {
-    pool.wait_idle();
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_EQ(std::string(e.what()), "first");
-  }
-}
-
-TEST(ThreadPool, PoolIsReusableAfterAFailure) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // The error was cleared: the next round runs clean.
-  std::atomic<int> count{0};
-  for (int i = 0; i < 10; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  EXPECT_NO_THROW(pool.wait_idle());
-  EXPECT_EQ(count.load(), 10);
-}
-
-TEST(ThreadPool, DestructorDrainsQueuedWork) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&count] {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-        count.fetch_add(1, std::memory_order_relaxed);
-      });
-    }
-    // No wait_idle: the destructor must drain the queue before joining.
-  }
-  EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPool, DestructorSwallowsAPendingTaskError) {
-  // A captured-but-never-rethrown task error must not terminate the
-  // process when the pool is destroyed.
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("never observed"); });
-  // Destructor runs at scope exit; reaching the assertion below after the
-  // scope is the test.
-  SUCCEED();
-}
-
-TEST(ThreadPool, ShutdownDrainsQueuedTasksBeforeJoining) {
-  // The deterministic-drain contract: every task submitted before
-  // shutdown() runs to completion, even ones still queued when the stop
-  // flag goes up.  One worker + a slow head task guarantees a deep queue.
-  ThreadPool pool(1);
-  std::atomic<int> count{0};
-  pool.submit([] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  });
-  for (int i = 0; i < 50; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.shutdown();
-  EXPECT_EQ(count.load(), 50);
-  EXPECT_TRUE(pool.is_shutdown());
-}
-
-TEST(ThreadPool, ShutdownIsIdempotentAndSubmitAfterItThrows) {
-  ThreadPool pool(2);
-  EXPECT_FALSE(pool.is_shutdown());
-  pool.shutdown();
-  pool.shutdown();  // second call is a no-op
-  EXPECT_TRUE(pool.is_shutdown());
-  EXPECT_THROW(pool.submit([] {}), std::exception);
-}
-
-TEST(ThreadPool, ShutdownRunsTasksThatFailWithoutTerminating) {
-  // A queued task that throws during the drain must be swallowed exactly
-  // like destructor-time errors, not terminate the process.
-  ThreadPool pool(1);
-  std::atomic<int> after{0};
-  pool.submit([] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  });
-  pool.submit([] { throw std::runtime_error("drain boom"); });
-  pool.submit([&after] { after.fetch_add(1); });
-  pool.shutdown();
-  EXPECT_EQ(after.load(), 1);
-}
-
 TEST(ParallelForIndex, CoversTheRangeAndPropagatesExceptions) {
-  std::vector<std::atomic<int>> hits(64);
-  parallel_for_index(64, [&hits](std::size_t i) { hits[i].fetch_add(1); }, 4);
-  for (std::size_t i = 0; i < 64; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+  // Team sizes that divide the range, leave a short last slice, and
+  // exceed the range.
+  for (const std::size_t threads : {1u, 3u, 4u, 100u}) {
+    std::vector<std::atomic<int>> hits(64);
+    parallel_for_index(
+        64, [&hits](std::size_t i) { hits[i].fetch_add(1); }, threads);
+    for (std::size_t i = 0; i < 64; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "i=" << i << " threads=" << threads;
+    }
+  }
   EXPECT_THROW(parallel_for_index(
                    8,
                    [](std::size_t i) {
@@ -149,38 +30,6 @@ TEST(ParallelForIndex, CoversTheRangeAndPropagatesExceptions) {
                    },
                    2),
                std::runtime_error);
-}
-
-TEST(ParallelForIndex, GrainCoversTheRangeAtEveryGranularity) {
-  // The grain knob changes slicing, never coverage: every index runs
-  // exactly once for any (threads, grain) combination, including grains
-  // larger than the range (which run inline).
-  for (const std::size_t grain : {1u, 3u, 16u, 64u, 1000u}) {
-    for (const std::size_t threads : {1u, 2u, 4u}) {
-      std::vector<std::atomic<int>> hits(100);
-      parallel_for_index(
-          100, [&hits](std::size_t i) { hits[i].fetch_add(1); }, threads,
-          grain);
-      for (std::size_t i = 0; i < hits.size(); ++i) {
-        ASSERT_EQ(hits[i].load(), 1)
-            << "i=" << i << " grain=" << grain << " threads=" << threads;
-      }
-    }
-  }
-}
-
-TEST(ParallelForIndex, GrainBoundsWorkerFanOut) {
-  // grain >= count must run everything inline on the calling thread: no
-  // thread is ever spawned for fewer than `grain` indices.
-  const std::thread::id caller = std::this_thread::get_id();
-  std::atomic<int> foreign{0};
-  parallel_for_index(
-      32,
-      [&](std::size_t) {
-        if (std::this_thread::get_id() != caller) foreign.fetch_add(1);
-      },
-      8, 32);
-  EXPECT_EQ(foreign.load(), 0);
 }
 
 }  // namespace

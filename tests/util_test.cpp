@@ -296,18 +296,8 @@ TEST(Table, EmptyColumnsThrow) {
 }
 
 // ---------------------------------------------------------------------------
-// ThreadPool / parallel_for_index
+// parallel_for_index
 // ---------------------------------------------------------------------------
-
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
 
 TEST(ParallelFor, ComputesAllIndices) {
   std::vector<int> hits(1000, 0);

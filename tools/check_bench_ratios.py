@@ -1,12 +1,10 @@
 #!/usr/bin/env python3
 """Gate the bench artifacts: fail CI when a BENCH_*.json breaks its bounds.
 
-Two gating modes, selected per file:
-
-Schema-driven (preferred): a file with a top-level "gates" array declares
-its own invariants and the script just follows them.  Each gate names the
-row array to scan and the numeric field to check, bounded by a constant or
-by another field of the same row:
+Every file carries a top-level "gates" array that declares its own
+invariants, and the script just follows them; a file without one is an
+error.  Each gate names the row array to scan and the numeric field to
+check, bounded by a constant or by another field of the same row:
 
     "gates": [
       {"array": "engine_head_to_head", "field": "speedup", "min": 0.95},
@@ -32,13 +30,7 @@ meet the minimum (e.g. a wall-clock multi-core scaling floor measured on
 a 1-core CI box), the gate is skipped with a printed note instead of
 failing — the bound is about the machine, not the code.
 
-Legacy fallback: files without "gates" get the original behavior — every
-"speedup" field under the engine-vs-reference duel arrays
-("engine_head_to_head", "stack_duel") must clear --min (default 0.95,
-parity minus smoke-size noise); other speedups are printed for the
-trajectory but gated only with --all.
-
-Usage: check_bench_ratios.py [--min 0.95] [--all] BENCH_e10.json ...
+Usage: check_bench_ratios.py BENCH_e10.json ...
 
 Stdlib only; prints every value it inspects so the CI log doubles as the
 perf/ratio trajectory at smoke sizes.
@@ -47,8 +39,6 @@ perf/ratio trajectory at smoke sizes.
 import argparse
 import json
 import sys
-
-GATED_ARRAYS = ("engine_head_to_head", "stack_duel")
 
 
 def row_label(row, fallback):
@@ -136,38 +126,9 @@ def check_gate(filename, data, gate, tag):
     return inspected, failures
 
 
-def iter_speedups(node, path, gated):
-    """Yields (label, speedup, gated) for dicts with a numeric "speedup"."""
-    if isinstance(node, dict):
-        if isinstance(node.get("speedup"), (int, float)):
-            label = row_label(node, path)
-            yield str(label), float(node["speedup"]), gated
-        for key, value in node.items():
-            yield from iter_speedups(
-                value, f"{path}.{key}", gated or key in GATED_ARRAYS
-            )
-    elif isinstance(node, list):
-        for i, value in enumerate(node):
-            yield from iter_speedups(value, f"{path}[{i}]", gated)
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("files", nargs="+", help="BENCH_*.json files to gate")
-    parser.add_argument(
-        "--min",
-        type=float,
-        default=0.95,
-        dest="floor",
-        help="legacy-mode minimum acceptable speedup (default 0.95)",
-    )
-    parser.add_argument(
-        "--all",
-        action="store_true",
-        dest="gate_all",
-        help="legacy mode: gate every speedup field, not just the vs-naive "
-        "duel arrays",
-    )
     args = parser.parse_args()
 
     failures = []
@@ -177,33 +138,22 @@ def main():
             data = json.load(handle)
         tag = f"{data.get('build_type', '?')}/{data.get('sweep_isa', '?')}"
         gates = data.get("gates")
-        if isinstance(gates, list):
-            for gate in gates:
-                inspected, bad = check_gate(filename, data, gate, tag)
-                total += inspected
-                failures.extend(bad)
+        if not isinstance(gates, list):
+            failures.append((filename, "gates", "no \"gates\" block"))
             continue
-        for label, speedup, gated in iter_speedups(data, filename, False):
-            gated = gated or args.gate_all
-            total += 1
-            below = speedup < args.floor
-            verdict = "FAIL" if below and gated else "info" if not gated else "ok"
-            print(
-                f"{verdict:4} {speedup:8.3f}x  {filename} [{tag}]  {label}"
-            )
-            if below and gated:
-                failures.append(
-                    (filename, label, f"{speedup:.3f}x < {args.floor}x")
-                )
+        for gate in gates:
+            inspected, bad = check_gate(filename, data, gate, tag)
+            total += inspected
+            failures.extend(bad)
 
-    if total == 0:
-        print("error: no gated fields found in the given files", file=sys.stderr)
-        return 2
     if failures:
         print(f"\n{len(failures)} gate failure(s):", file=sys.stderr)
         for filename, label, reason in failures:
             print(f"  {filename}: {label} — {reason}", file=sys.stderr)
         return 1
+    if total == 0:
+        print("error: no gated fields found in the given files", file=sys.stderr)
+        return 2
     print(f"\nall gates green ({total} values inspected)")
     return 0
 
