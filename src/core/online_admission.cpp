@@ -32,31 +32,6 @@ void OnlineAdmissionAlgorithm::apply_rejection(RequestId id) {
   for (EdgeId e : requests_[id].edges) --usage_[e];
 }
 
-ArrivalResult OnlineAdmissionAlgorithm::process_shed(const Request& request) {
-  MINREJ_REQUIRE(!request.edges.empty(), "empty request");
-  MINREJ_REQUIRE(std::isfinite(request.cost) && request.cost > 0.0,
-                 "request cost must be positive and finite");
-  for (EdgeId e : request.edges) {
-    MINREJ_REQUIRE(e < graph_.edge_count(), "request edge out of range");
-  }
-  const auto id = static_cast<RequestId>(requests_.size());
-  requests_.push_back(request);
-  states_.push_back(RequestState::kRejected);
-  ArrivalResult result;
-  result.accepted = !would_overflow(request);
-  if (result.accepted) {
-    states_[id] = RequestState::kAccepted;
-    for (EdgeId e : request.edges) ++usage_[e];
-  } else {
-    MINREJ_REQUIRE(!request.must_accept,
-                   "cannot shed a must_accept request — route it through "
-                   "process() even in degraded mode");
-    rejected_cost_ += request.cost;
-    ++rejected_count_;
-  }
-  return result;
-}
-
 ArrivalResult OnlineAdmissionAlgorithm::process(const Request& request) {
   MINREJ_REQUIRE(!request.edges.empty(), "empty request");
   // isfinite rejects ±inf (which would poison rejected_cost_ forever); the

@@ -50,15 +50,6 @@ class OnlineAdmissionAlgorithm {
   /// Processes the next arrival.  Returns the validated outcome.
   ArrivalResult process(const Request& request);
 
-  /// Degraded-mode arrival (DESIGN.md §9): decide by the cheap threshold
-  /// rule — accept iff the request fits under current usage, never preempt
-  /// — through the same bookkeeping as process(), but without invoking the
-  /// subclass handle() hook.  The service's load-shed path uses this when
-  /// a shard is past its deadline or augmentation budget: the competitive
-  /// guarantee is suspended for shed arrivals, the counters stay exact.
-  /// must_accept requests cannot be shed (throws if one would not fit).
-  ArrivalResult process_shed(const Request& request);
-
   // -- snapshot/restore (io/snapshot.h; DESIGN.md §9) -----------------------
 
   /// True if this algorithm implements full-state serialization.  The

@@ -40,12 +40,6 @@ std::string RandomizedAdmission::name() const {
   return config_.unit_costs ? "randomized-unweighted" : "randomized-weighted";
 }
 
-double RandomizedAdmission::frac_weight_of_base(RequestId i) const {
-  if (static_cast<std::size_t>(i) >= frac_of_base_.size()) return 0.0;
-  const RequestId f = frac_of_base_[i];
-  return f == kInvalidId ? 0.0 : frac_.weight(f);
-}
-
 std::optional<RequestId> RandomizedAdmission::pick_victim(
     EdgeId e, RequestId arriving, const std::vector<bool>& marked) {
   std::vector<RequestId> candidates;
@@ -73,7 +67,7 @@ std::optional<RequestId> RandomizedAdmission::pick_victim(
   RequestId best = candidates.front();
   double best_weight = -1.0;
   for (RequestId i : candidates) {
-    const double w = frac_weight_of_base(i);
+    const double w = frac_.weight(i);
     if (w > best_weight) {
       best_weight = w;
       best = i;
@@ -85,10 +79,9 @@ std::optional<RequestId> RandomizedAdmission::pick_victim(
 ArrivalResult RandomizedAdmission::handle(RequestId id,
                                           const Request& request) {
   // Step 1: fractional weight augmentations.
+  // Every arrival reaches the fractional layer, so its record ids are the
+  // base request ids.
   const FractionalAdmission::Arrival frac_arrival = frac_.on_request(request);
-  frac_of_base_.resize(static_cast<std::size_t>(id) + 1, kInvalidId);
-  frac_of_base_[id] = static_cast<RequestId>(base_of_frac_.size());
-  base_of_frac_.push_back(id);
 
   ArrivalResult result;
   std::vector<bool> reject_now;  // sparse set over delta ids
@@ -139,22 +132,20 @@ ArrivalResult RandomizedAdmission::handle(RequestId id,
   }
 
   // Steps 2 and 3 over the requests whose weights grew this arrival.
-  // Delta ids live in fractional-id space; decisions land on base ids.
   const double threshold = weight_threshold();
   for (const FractionalEngine::Delta& d : frac_arrival.deltas) {
-    const RequestId base = base_of_frac_[d.id];
     if (config_.step2_threshold && frac_.weight(d.id) >= threshold) {
       // Step 2: deterministic threshold rejection.
-      if (base == id) reject_arriving();
-      else mark_reject(base);
+      if (d.id == id) reject_arriving();
+      else mark_reject(d.id);
       continue;
     }
     // Step 3: randomized rejection with probability F·δ·L.
     if (!config_.step3_random) continue;
     const double p = std::min(1.0, factor_ * d.delta * log_);
     if (rng_.bernoulli(p)) {
-      if (base == id) reject_arriving();
-      else mark_reject(base);
+      if (d.id == id) reject_arriving();
+      else mark_reject(d.id);
     }
   }
 

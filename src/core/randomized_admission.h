@@ -93,10 +93,6 @@ class RandomizedAdmission : public OnlineAdmissionAlgorithm {
   std::optional<RequestId> pick_victim(EdgeId e, RequestId arriving,
                                        const std::vector<bool>& marked);
 
-  /// Fractional weight of base-id request i, or 0 if i never reached the
-  /// fractional layer (a load-shed arrival — see base_of_frac_ below).
-  double frac_weight_of_base(RequestId i) const;
-
   RandomizedConfig config_;
   FractionalAdmission frac_;
   Rng rng_;
@@ -105,16 +101,6 @@ class RandomizedAdmission : public OnlineAdmissionAlgorithm {
   std::vector<std::int64_t> edge_requests_;  // |REQ_e| for the §3 cap
   std::vector<bool> edge_capped_;            // edge hit the 4mc² guard
   std::int64_t cap_ = 0;
-  /// Base-id ↔ fractional-id translation.  Historically the two spaces
-  /// were identical (every process() call produced exactly one
-  /// frac_.on_request), but process_shed arrivals bypass handle() and
-  /// consume a base id without a fractional record, so the §3 layer must
-  /// translate explicitly: base_of_frac_[f] is the base id of fractional
-  /// record f, frac_of_base_[b] is the fractional id of base request b or
-  /// kInvalidId for shed arrivals.  Without shedding both maps are the
-  /// identity and every trajectory is unchanged.
-  std::vector<RequestId> base_of_frac_;
-  std::vector<RequestId> frac_of_base_;
 };
 
 }  // namespace minrej

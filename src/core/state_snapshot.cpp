@@ -40,6 +40,14 @@ void load_rng(SnapshotReader& r, Rng& rng) {
   rng.set_state(state);
 }
 
+/// True if every id is below `bound`: the range check a loader runs on
+/// each index the engine later dereferences.
+template <typename Ids>
+bool all_below(const Ids& ids, std::size_t bound) {
+  return std::all_of(ids.begin(), ids.end(),
+                     [bound](std::size_t id) { return id < bound; });
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -149,11 +157,6 @@ void FlatFractionalEngine::load_state(SnapshotReader& r) {
                      alive_sum_.size() == substrate_.col_count &&
                      journal_pos_.size() == substrate_.col_count,
                  "engine snapshot per-edge arrays are inconsistent");
-  // Every index the engine later dereferences must land in range.
-  const auto all_below = [](const auto& ids, std::size_t bound) {
-    return std::all_of(ids.begin(), ids.end(),
-                       [bound](std::size_t id) { return id < bound; });
-  };
   MINREJ_REQUIRE(edge_begin_.front() == 0 &&
                      edge_begin_.back() == edge_pool_.size() &&
                      std::is_sorted(edge_begin_.begin(), edge_begin_.end()) &&
@@ -248,6 +251,14 @@ void NaiveFractionalEngine::load_state(SnapshotReader& r) {
   MINREJ_REQUIRE(alive_count_.size() == substrate_.col_count &&
                      pinned_count_.size() == substrate_.col_count,
                  "engine snapshot per-edge arrays are inconsistent");
+  for (const RequestRecord& rec : requests_) {
+    MINREJ_REQUIRE(all_below(rec.edges, substrate_.col_count),
+                   "engine snapshot record edge out of range");
+  }
+  for (const std::vector<RequestId>& list : members_) {
+    MINREJ_REQUIRE(all_below(list, n),
+                   "engine snapshot member id out of range");
+  }
   touched_.clear();
   deltas_.clear();
 }
@@ -435,8 +446,6 @@ void RandomizedAdmission::save_extra(SnapshotWriter& w) const {
   save_rng(w, rng_);
   w.vec(edge_requests_);
   w.bit_vec(edge_capped_);
-  w.vec(base_of_frac_);
-  w.vec(frac_of_base_);
   frac_.save_state(w);
 }
 
@@ -462,12 +471,11 @@ void RandomizedAdmission::load_extra(SnapshotReader& r) {
   edge_capped_ = r.bit_vec();
   MINREJ_REQUIRE(edge_capped_.size() == graph().edge_count(),
                  "snapshot edge-cap flags do not match the graph");
-  base_of_frac_ = r.vec<RequestId>();
-  frac_of_base_ = r.vec<RequestId>();
   frac_.load_state(r);
-  MINREJ_REQUIRE(base_of_frac_.size() == frac_.request_count(),
-                 "snapshot id translation does not match the fractional "
-                 "record count");
+  // handle() reads fractional records by base request id.
+  MINREJ_REQUIRE(frac_.request_count() == arrivals(),
+                 "snapshot fractional record count does not match the "
+                 "request count");
 }
 
 }  // namespace minrej

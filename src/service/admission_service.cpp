@@ -40,8 +40,12 @@ std::size_t pump_workers(const ServiceConfig& config) {
 /// Stream kinds of the two nested snapshot formats (io/snapshot.h).
 constexpr std::string_view kServiceSnapshotKind = "minrej.service";
 constexpr std::string_view kAlgorithmSnapshotKind = "minrej.algorithm";
-constexpr std::uint32_t kServiceSnapshotVersion = 1;
-constexpr std::uint32_t kAlgorithmSnapshotVersion = 1;
+constexpr std::uint32_t kServiceSnapshotVersion = 2;
+constexpr std::uint32_t kAlgorithmSnapshotVersion = 2;
+
+/// Cap on the retry backoff sleep (RetryPolicy::backoff_base_s doubles up
+/// to it).
+constexpr double kBackoffMaxSeconds = 0.01;
 
 /// Order-sensitive fingerprint of the capacity vector: snapshots refuse to
 /// load onto a graph with the same edge count but different capacities.
@@ -52,6 +56,15 @@ std::uint64_t capacity_fingerprint(const Graph& graph) noexcept {
     splitmix64(state);
   }
   return splitmix64(state);
+}
+
+/// One committed-log request as snapshot() writes it.
+Request read_logged_request(SnapshotReader& r) {
+  Request request;
+  request.edges = r.vec<EdgeId>();
+  request.cost = r.f64();
+  request.must_accept = r.boolean();
+  return request;
 }
 
 }  // namespace
@@ -74,11 +87,8 @@ AdmissionService::AdmissionService(const Graph& graph,
                      "partition maps an edge to a shard >= the shard count");
     }
   }
-  const RetryPolicy& retry = config_.fault_tolerance.retry;
-  MINREJ_REQUIRE(retry.backoff_base_s >= 0.0 && retry.backoff_max_s >= 0.0,
+  MINREJ_REQUIRE(config_.fault_tolerance.retry.backoff_base_s >= 0.0,
                  "retry backoff must be non-negative");
-  MINREJ_REQUIRE(retry.jitter >= 0.0 && retry.jitter <= 1.0,
-                 "retry jitter must be in [0, 1]");
   shards_.resize(config_.shards);
   for (std::size_t s = 0; s < config_.shards; ++s) {
     shards_[s].algorithm = factory_(graph_, s);
@@ -196,8 +206,8 @@ bool AdmissionService::drain_lane(std::size_t s) {
   std::uint32_t idx;
   if (!lane.ring.try_pop(idx)) return false;
   // The successful pop's acquire pairs with the routing thread's release
-  // push: live_batch_, the per-attempt shard state and the sized modes_
-  // are visible from here.
+  // push: live_batch_ and the per-attempt shard state are visible from
+  // here.
   Shard& shard = shards_[s];
   const std::span<const Request> batch = live_batch_;
   const bool ft = config_.fault_tolerance.enabled;
@@ -209,76 +219,45 @@ bool AdmissionService::drain_lane(std::size_t s) {
     ++consumed;
     if (shard.error) continue;  // poisoned: discard the rest, but count it
     try {
-      const bool shed = ft && before_ft_arrival(s, idx, busy);
+      if (ft) before_ft_arrival(s, idx);
       if (config_.collect_latencies) arrival_timer.reset();
-      const ArrivalResult result =
-          shed ? shard.algorithm->process_shed(batch[idx])
-               : shard.algorithm->process(batch[idx]);
+      const ArrivalResult result = shard.algorithm->process(batch[idx]);
       if (config_.collect_latencies) {
         shard.latencies_s.push_back(arrival_timer.elapsed_s());
       }
       decisions_[idx] = result.accepted ? 1 : 0;
       ++shard.done;
-      if (ft) after_ft_arrival(shard, idx, shed);
     } catch (...) {
       shard.error = std::current_exception();
     }
   } while (consumed < kChunk && lane.ring.try_pop(idx));
-  const double elapsed = busy.elapsed_s();
-  shard.busy_seconds += elapsed;
-  shard.attempt_busy_s += elapsed;
+  shard.busy_seconds += busy.elapsed_s();
   // One release per chunk, not per arrival: publishes every shard write
   // above to the routing thread's acquire load in the completion wait.
   lane.consumed.fetch_add(consumed, std::memory_order_release);
   return true;
 }
 
-bool AdmissionService::before_ft_arrival(std::size_t s, std::size_t idx,
-                                         const Timer& busy) {
-  Shard& shard = shards_[s];
-  const FaultToleranceConfig& ft = config_.fault_tolerance;
-  if (const FaultInjector* injector = ft.injector.get()) {
-    // Probe on the service-global arrival index: it advances even when
-    // the shard sheds, so a healed shard is not doomed to replay the
-    // exact probe pattern that quarantined it.
-    const std::size_t global_arrival = live_base_ + idx;
-    switch (injector->probe(s, global_arrival, live_attempt_)) {
-      case FaultAction::kException:
-        throw InjectedFault("injected shard-task fault (shard " +
-                            std::to_string(s) + ", arrival " +
-                            std::to_string(global_arrival) + ", attempt " +
-                            std::to_string(live_attempt_) + ")");
-      case FaultAction::kDelay:
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(injector->delay_seconds()));
-        ++shard.injected_delays;
-        break;
-      case FaultAction::kNone:
-        break;
-    }
-  }
-  // Deadline shedding is per (shard, attempt): a slow sub-batch degrades
-  // its own tail, the next attempt starts fresh.
-  const double deadline_s = ft.overload.shard_deadline_s;
-  if (deadline_s > 0.0 && !shard.deadline_shed &&
-      shard.attempt_busy_s + busy.elapsed_s() > deadline_s) {
-    shard.deadline_shed = true;
-  }
-  return shard.degraded || shard.deadline_shed;
-}
-
-void AdmissionService::after_ft_arrival(Shard& shard, std::size_t idx,
-                                        bool shed) {
-  modes_[live_base_ + idx] = static_cast<std::uint8_t>(
-      shed ? DecisionMode::kShed : DecisionMode::kEngine);
-  // The budget latch is per-shard and permanent until a rebuild
-  // re-derives it.
-  if (config_.fault_tolerance.overload.shed_on_budget && !shard.degraded &&
-      shard.algorithm->augmentation_steps() >
-          augmentation_step_budget(shard.algorithm->arrivals(),
-                                   graph_.edge_count(),
-                                   graph_.max_capacity())) {
-    shard.degraded = true;
+void AdmissionService::before_ft_arrival(std::size_t s, std::size_t idx) {
+  const FaultInjector* injector = config_.fault_tolerance.injector.get();
+  if (injector == nullptr) return;
+  // Probe on the service-global arrival index: it advances even when the
+  // shard sheds, so a healed shard is not doomed to replay the exact probe
+  // pattern that quarantined it.
+  const std::size_t global_arrival = live_base_ + idx;
+  switch (injector->probe(s, global_arrival, live_attempt_)) {
+    case FaultAction::kException:
+      throw InjectedFault("injected shard-task fault (shard " +
+                          std::to_string(s) + ", arrival " +
+                          std::to_string(global_arrival) + ", attempt " +
+                          std::to_string(live_attempt_) + ")");
+    case FaultAction::kDelay:
+      std::this_thread::sleep_for(
+          std::chrono::duration<double>(injector->delay_seconds()));
+      ++shards_[s].injected_delays;
+      break;
+    case FaultAction::kNone:
+      break;
   }
 }
 
@@ -353,8 +332,8 @@ std::vector<bool> AdmissionService::submit_batch(
   const std::size_t base = placement_.size();
   placement_.reserve(base + batch.size());
   decisions_.assign(batch.size(), 0);
-  // Sized before the first push: workers write modes by index while this
-  // thread is still routing, so the vector must not reallocate mid-batch.
+  // New entries start at kEngine; routing and settle_batch overwrite the
+  // ones they drop.
   if (ft.enabled) modes_.resize(base + batch.size());
 
   // Between batches the workers are quiescent (the previous completion
@@ -372,12 +351,12 @@ std::vector<bool> AdmissionService::submit_batch(
 
   // Publish the batch, then route on this thread and stream each index
   // into its shard's ring as soon as it is placed: the push's release
-  // store is what makes live_batch_ (and decisions_, modes_) visible to
-  // the consuming worker, and workers overlap with the rest of routing.
+  // store is what makes live_batch_ (and decisions_) visible to the
+  // consuming worker, and workers overlap with the rest of routing.
   // Under fault tolerance, arrivals that are malformed (or flagged corrupt
-  // by the injector), owned by a quarantined shard, or beyond a shard's
-  // queue limit never reach an algorithm: their decision stays
-  // "rejected", their placement is voided and the mode records why.
+  // by the injector) or owned by a quarantined shard never reach an
+  // algorithm: their decision stays "rejected", their placement is voided
+  // and the mode records why.
   live_batch_ = batch;
   live_base_ = base;
   live_attempt_ = 0;
@@ -407,12 +386,6 @@ std::vector<bool> AdmissionService::submit_batch(
       drop(i, s, DecisionMode::kQuarantineShed);
       continue;
     }
-    if (ft.enabled && ft.overload.max_shard_queue > 0 &&
-        shard.pending.size() >= ft.overload.max_shard_queue) {
-      ++shard.shed;
-      drop(i, s, DecisionMode::kShed);
-      continue;
-    }
     placement_.emplace_back(
         static_cast<std::uint32_t>(s),
         static_cast<RequestId>(local_base[s] + shard.pending.size()));
@@ -439,14 +412,12 @@ std::exception_ptr AdmissionService::settle_batch(
     if (!shards_[s].pending.empty()) running.push_back(s);
   }
   std::exception_ptr first_error;
-  std::uint64_t jitter_state =
-      ft.retry.jitter_seed ^ (static_cast<std::uint64_t>(base) + 1);
   for (std::size_t attempt = 0; !running.empty(); ++attempt) {
     std::vector<std::size_t> failed;
     for (const std::size_t s : running) {
       Shard& shard = shards_[s];
       if (!shard.error || !ft.enabled) {
-        commit_shard_batch(s, batch, base);
+        commit_shard_batch(s, batch);
         if (!shard.error) continue;
         // Without fault tolerance the shard keeps the prefix it processed.
         // Its algorithm never assigned ids to the rest: void their
@@ -493,11 +464,8 @@ std::exception_ptr AdmissionService::settle_batch(
     if (running.empty()) break;
     const double doubling = static_cast<double>(
         std::uint64_t{1} << std::min<std::size_t>(attempt, 30));
-    double delay =
-        std::min(ft.retry.backoff_max_s, ft.retry.backoff_base_s * doubling);
-    const double u =
-        static_cast<double>(splitmix64(jitter_state) >> 11) * 0x1.0p-53;
-    delay *= 1.0 + ft.retry.jitter * (2.0 * u - 1.0);
+    const double delay =
+        std::min(kBackoffMaxSeconds, ft.retry.backoff_base_s * doubling);
     if (delay > 0.0) {
       std::this_thread::sleep_for(std::chrono::duration<double>(delay));
     }
@@ -514,15 +482,13 @@ std::exception_ptr AdmissionService::settle_batch(
 }
 
 void AdmissionService::commit_shard_batch(std::size_t shard_index,
-                                          std::span<const Request> batch,
-                                          std::size_t base) {
+                                          std::span<const Request> batch) {
   Shard& shard = shards_[shard_index];
   shard.arrivals += shard.done;
   if (!config_.fault_tolerance.enabled) return;
   shard.log.reserve(shard.log.size() + shard.done);
   for (std::size_t j = 0; j < shard.done; ++j) {
-    const std::size_t idx = shard.pending[j];
-    shard.log.push_back(LogEntry{batch[idx], modes_[base + idx]});
+    shard.log.push_back(batch[shard.pending[j]]);
   }
 }
 
@@ -532,35 +498,18 @@ void AdmissionService::rebuild_shard(std::size_t shard_index) {
       factory_(graph_, shard_index);
   MINREJ_CHECK(fresh != nullptr, "factory returned a null algorithm");
   std::size_t replay_from = 0;
-  bool degraded = false;
   if (!shard.checkpoint_blob.empty() && fresh->snapshot_supported()) {
     SnapshotReader r(shard.checkpoint_blob, kAlgorithmSnapshotKind);
     fresh->load_snapshot(r);
     r.expect_end();
     replay_from = shard.checkpoint_log_len;
-    degraded = shard.checkpoint_degraded;
   }
-  const OverloadPolicy& overload = config_.fault_tolerance.overload;
+  // Replay calls process() exactly as the live pump did, so the trajectory
+  // (weights, RNG draws, ids) is reproduced bit-for-bit.
   for (std::size_t j = replay_from; j < shard.log.size(); ++j) {
-    const LogEntry& entry = shard.log[j];
-    // The logged mode is authoritative: replay calls exactly what the
-    // live pump called, so the trajectory (weights, RNG draws, ids) is
-    // reproduced bit-for-bit.
-    if (entry.mode == static_cast<std::uint8_t>(DecisionMode::kShed)) {
-      fresh->process_shed(entry.request);
-    } else {
-      fresh->process(entry.request);
-    }
-    // Re-derive the budget latch with the same per-arrival check the live
-    // pump applies — deterministic in (steps, arrivals), both replayed.
-    if (overload.shed_on_budget && !degraded) {
-      const std::uint64_t budget = augmentation_step_budget(
-          fresh->arrivals(), graph_.edge_count(), graph_.max_capacity());
-      if (fresh->augmentation_steps() > budget) degraded = true;
-    }
+    fresh->process(shard.log[j]);
   }
   shard.algorithm = std::move(fresh);
-  shard.degraded = degraded;
   ++shard.restores;
 }
 
@@ -598,11 +547,6 @@ bool AdmissionService::shard_quarantined(std::size_t shard) const {
   return shards_[shard].quarantined;
 }
 
-bool AdmissionService::shard_degraded(std::size_t shard) const {
-  MINREJ_REQUIRE(shard < shards_.size(), "shard index out of range");
-  return shards_[shard].degraded;
-}
-
 void AdmissionService::checkpoint() {
   MINREJ_REQUIRE(config_.fault_tolerance.enabled,
                  "checkpoint() needs fault tolerance enabled (the recovery "
@@ -612,7 +556,6 @@ void AdmissionService::checkpoint() {
       // Recovery falls back to full log replay for this shard.
       shard.checkpoint_blob.clear();
       shard.checkpoint_log_len = 0;
-      shard.checkpoint_degraded = false;
       continue;
     }
     SnapshotWriter w(std::string(kAlgorithmSnapshotKind),
@@ -620,7 +563,6 @@ void AdmissionService::checkpoint() {
     shard.algorithm->save_snapshot(w);
     shard.checkpoint_blob = w.finish();
     shard.checkpoint_log_len = shard.log.size();
-    shard.checkpoint_degraded = shard.degraded;
   }
 }
 
@@ -661,13 +603,11 @@ std::vector<std::uint8_t> AdmissionService::snapshot() const {
     w.u64(shard.malformed);
     w.u64(shard.injected_delays);
     w.boolean(shard.quarantined);
-    w.boolean(shard.degraded);
     w.u64(shard.log.size());
-    for (const LogEntry& entry : shard.log) {
-      w.vec(entry.request.edges);
-      w.f64(entry.request.cost);
-      w.boolean(entry.request.must_accept);
-      w.u8(entry.mode);
+    for (const Request& request : shard.log) {
+      w.vec(request.edges);
+      w.f64(request.cost);
+      w.boolean(request.must_accept);
     }
     SnapshotWriter algo(std::string(kAlgorithmSnapshotKind),
                         kAlgorithmSnapshotVersion);
@@ -718,22 +658,18 @@ void AdmissionService::restore(std::span<const std::uint8_t> blob) {
       shard.malformed = static_cast<std::size_t>(r.u64());
       shard.injected_delays = static_cast<std::size_t>(r.u64());
       shard.quarantined = r.boolean();
-      shard.degraded = r.boolean();
       const std::size_t log_size = r.count(1);
       shard.log.reserve(log_size);
       for (std::size_t j = 0; j < log_size; ++j) {
-        LogEntry entry;
-        entry.request.edges = r.vec<EdgeId>();
-        entry.request.cost = r.f64();
-        entry.request.must_accept = r.boolean();
-        entry.mode = r.u8();
-        shard.log.push_back(std::move(entry));
+        shard.log.push_back(read_logged_request(r));
       }
       const std::vector<std::uint8_t> algo_blob = r.blob();
       shard.algorithm = factory_(graph_, s);
       MINREJ_CHECK(shard.algorithm != nullptr,
                    "factory returned a null algorithm");
       SnapshotReader algo(algo_blob, kAlgorithmSnapshotKind);
+      MINREJ_REQUIRE(algo.version() == kAlgorithmSnapshotVersion,
+                     "unsupported algorithm snapshot version");
       shard.algorithm->load_snapshot(algo);
       algo.expect_end();
     }
@@ -755,8 +691,8 @@ void AdmissionService::restore(std::span<const std::uint8_t> blob) {
 
   // Reshard-on-restore: replay the committed global arrival sequence
   // through this service's own routing.  Exact only when the source kept
-  // logs, shed/voided nothing, and processed everything in engine mode —
-  // i.e. the deterministic shard-disjoint regime DESIGN.md §6.1 pins down.
+  // logs and shed/voided nothing — i.e. the deterministic shard-disjoint
+  // regime DESIGN.md §6.1 pins down.
   MINREJ_REQUIRE(has_log,
                  "reshard-on-restore needs the source service's arrival log "
                  "(fault tolerance was disabled when the snapshot was taken)");
@@ -765,19 +701,10 @@ void AdmissionService::restore(std::span<const std::uint8_t> blob) {
     r.expect_tag("SHRD");
     for (int skip = 0; skip < 7; ++skip) r.u64();  // counters
     r.boolean();  // quarantined
-    r.boolean();  // degraded
     const std::size_t log_size = r.count(1);
     logs[s].reserve(log_size);
     for (std::size_t j = 0; j < log_size; ++j) {
-      Request request;
-      request.edges = r.vec<EdgeId>();
-      request.cost = r.f64();
-      request.must_accept = r.boolean();
-      const std::uint8_t mode = r.u8();
-      MINREJ_REQUIRE(mode == static_cast<std::uint8_t>(DecisionMode::kEngine),
-                     "reshard-on-restore requires an engine-mode-only "
-                     "trajectory (the source load-shed arrivals)");
-      logs[s].push_back(std::move(request));
+      logs[s].push_back(read_logged_request(r));
     }
     r.blob();  // the source algorithm snapshot; replay rebuilds from logs
   }
@@ -860,7 +787,6 @@ ShardStats AdmissionService::shard_stats(std::size_t shard) const {
   stats.malformed = s.malformed;
   stats.injected_delays = s.injected_delays;
   stats.quarantined = s.quarantined;
-  stats.degraded = s.degraded;
   return stats;
 }
 
@@ -894,7 +820,6 @@ ServiceStats AdmissionService::aggregate() const {
     stats.malformed += shard.malformed;
     stats.injected_delays += shard.injected_delays;
     if (shard.quarantined) ++stats.quarantined_shards;
-    if (shard.degraded) ++stats.degraded_shards;
   }
   if (!latencies.empty()) {
     // Sorting the merged samples before taking quantiles makes the result

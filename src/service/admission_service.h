@@ -29,7 +29,7 @@
 //
 // Fault tolerance (DESIGN.md §9): with ServiceConfig::fault_tolerance
 // enabled the routing loop validates arrivals before they reach an
-// algorithm and applies quarantine and queue-cap shedding; failed shard
+// algorithm and drops those of quarantined shards; failed shard
 // attempts are rebuilt to their last committed state and retried through
 // the same rings with exponential backoff, and a shard whose retries are
 // exhausted is quarantined.  A per-shard committed arrival log — together
@@ -54,7 +54,6 @@
 #include "core/online_admission.h"
 #include "graph/request.h"
 #include "util/spsc_ring.h"
-#include "util/timer.h"
 
 namespace minrej {
 
@@ -65,10 +64,6 @@ class FaultInjector;
 enum class DecisionMode : std::uint8_t {
   /// Processed by the shard algorithm's full engine (process()).
   kEngine = 0,
-  /// Load-shed: either dropped at routing by backpressure (never reached
-  /// the algorithm) or processed by the degraded threshold rule
-  /// (process_shed()) — the shard log tells them apart.
-  kShed = 1,
   /// Rejected at validation (empty/out-of-range/unsorted edges or a
   /// non-finite/non-positive cost); never reached an algorithm.
   kMalformed = 2,
@@ -80,28 +75,8 @@ enum class DecisionMode : std::uint8_t {
 struct RetryPolicy {
   /// Retries after the first failed attempt before quarantine.
   std::size_t max_retries = 2;
-  /// Backoff before retry r is min(backoff_base_s * 2^r, backoff_max_s),
-  /// jittered by ±jitter (fraction).  Jitter perturbs only sleep times,
-  /// never decisions, so fault-tolerant runs stay deterministic.
+  /// Backoff before retry r is min(backoff_base_s * 2^r, 0.01 s).
   double backoff_base_s = 0.0005;
-  double backoff_max_s = 0.01;
-  double jitter = 0.2;
-  std::uint64_t jitter_seed = 0x5EEDBA5Eu;
-};
-
-/// Overload / graceful-degradation knobs (DESIGN.md §9).
-struct OverloadPolicy {
-  /// Max arrivals queued per shard per batch; overflow is shed at routing
-  /// (backpressure — the closed-loop clients re-arrive them).  0 = off.
-  std::size_t max_shard_queue = 0;
-  /// Processing deadline per (shard, attempt) of a batch; once a shard's
-  /// processing time in the attempt exceeds it, the rest of its sub-batch
-  /// runs through the degraded threshold rule (process_shed).  Timing-dependent, hence opt-in and excluded
-  /// from the determinism contract.  0 = off.
-  double shard_deadline_s = 0.0;
-  /// Latch a shard into degraded mode once its augmentation steps exceed
-  /// the core/run_budget.h budget.  Deterministic.
-  bool shed_on_budget = false;
 };
 
 /// Master switch plus policies.  Disabled (the default) costs a few
@@ -109,7 +84,6 @@ struct OverloadPolicy {
 struct FaultToleranceConfig {
   bool enabled = false;
   RetryPolicy retry;
-  OverloadPolicy overload;
   /// Optional deterministic fault source (util/fault_injector.h) consulted
   /// by the pump: task exceptions, slow shards, corrupted arrivals.
   std::shared_ptr<const FaultInjector> injector;
@@ -186,11 +160,10 @@ struct ShardStats {
   std::size_t task_failures = 0;   ///< failed task attempts (incl. injected)
   std::size_t retries = 0;         ///< attempts re-run after backoff
   std::size_t restores = 0;        ///< algorithm rebuilds (retry/quarantine/heal)
-  std::size_t shed = 0;            ///< arrivals shed at routing (backpressure/quarantine)
+  std::size_t shed = 0;            ///< arrivals dropped by quarantine
   std::size_t malformed = 0;       ///< arrivals rejected at validation
   std::size_t injected_delays = 0; ///< injector kDelay probes observed
   bool quarantined = false;        ///< currently refusing traffic
-  bool degraded = false;           ///< load-shed latch active (process_shed)
 };
 
 /// Merged view across all shards (util/stats quantile merge).
@@ -224,7 +197,6 @@ struct ServiceStats {
   std::size_t malformed = 0;
   std::size_t injected_delays = 0;
   std::size_t quarantined_shards = 0;
-  std::size_t degraded_shards = 0;
 
   double arrivals_per_sec() const noexcept {
     return seconds > 0.0 ? static_cast<double>(arrivals) / seconds : 0.0;
@@ -317,9 +289,6 @@ class AdmissionService {
   DecisionMode decision_mode(std::size_t arrival_index) const;
 
   bool shard_quarantined(std::size_t shard) const;
-  /// True while the shard's load-shed latch routes arrivals through the
-  /// degraded threshold rule (process_shed).
-  bool shard_degraded(std::size_t shard) const;
 
   /// Serializes the full service state — placements, decision modes,
   /// per-shard counters/logs, and one embedded algorithm snapshot per
@@ -333,9 +302,8 @@ class AdmissionService {
   /// the continuation is bit-identical to the uninterrupted run.
   /// Different shard count (reshard-on-restore): the committed global
   /// arrival sequence is replayed through this service's own routing —
-  /// requires the source to have kept logs (fault tolerance enabled),
-  /// no shed/malformed arrivals, and engine-mode-only trajectories; the
-  /// decisions match the source for shard-disjoint deterministic traffic
+  /// requires the source to have kept logs (fault tolerance enabled) and
+  /// no shed/malformed arrivals; the decisions match the source for shard-disjoint deterministic traffic
   /// (DESIGN.md §6.1/§9).  Counts and placements are bounds-checked, so
   /// hostile bytes fail with InvalidArgument.
   void restore(std::span<const std::uint8_t> blob);
@@ -351,14 +319,6 @@ class AdmissionService {
   void restore_shard(std::size_t shard);
 
  private:
-  /// One committed arrival of a shard: the request plus the mode it was
-  /// actually processed under.  Log index == shard-local request id, so
-  /// replaying the log reproduces the algorithm trajectory exactly.
-  struct LogEntry {
-    Request request;
-    std::uint8_t mode = 0;  // DecisionMode::kEngine or kShed
-  };
-
   /// alignas: a shard's fields (arrivals, busy time, latencies, error)
   /// are written by its owning worker while sibling workers write the
   /// neighbouring shards — cache-line alignment keeps those writes from
@@ -373,16 +333,14 @@ class AdmissionService {
     // before the attempt's first push and written by the owning worker
     // during it.
     std::exception_ptr error;
-    std::size_t done = 0;         // pending arrivals processed so far
-    double attempt_busy_s = 0.0;  // processing time, for the deadline
-    bool deadline_shed = false;   // OverloadPolicy::shard_deadline_s tripped
+    std::size_t done = 0;  // pending arrivals processed so far
     // Fault-tolerance state (untouched when the layer is disabled).
-    std::vector<LogEntry> log;         // committed arrivals, id order
-    std::vector<std::uint8_t> checkpoint_blob; // last checkpoint() snapshot
+    // Log index == shard-local request id, so replaying the log through
+    // process() reproduces the algorithm trajectory exactly.
+    std::vector<Request> log;                   // committed arrivals, id order
+    std::vector<std::uint8_t> checkpoint_blob;  // last checkpoint() snapshot
     std::size_t checkpoint_log_len = 0;
-    bool checkpoint_degraded = false;
     bool quarantined = false;
-    bool degraded = false;  // load-shed latch (OverloadPolicy::shed_on_budget)
     std::size_t task_failures = 0;
     std::size_t retries = 0;
     std::size_t restores = 0;
@@ -393,8 +351,6 @@ class AdmissionService {
     void begin_attempt() noexcept {
       error = nullptr;
       done = 0;
-      attempt_busy_s = 0.0;
-      deadline_shed = false;
     }
   };
 
@@ -412,7 +368,7 @@ class AdmissionService {
     /// Cumulative indices consumed by the owning worker.  One release
     /// fetch_add per processed chunk; the routing thread's acquire load
     /// is the completion barrier that publishes every shard field the
-    /// worker wrote (decisions, modes, latencies, busy time, errors).
+    /// worker wrote (decisions, latencies, busy time, errors).
     alignas(kCacheLineBytes) std::atomic<std::uint64_t> consumed{0};
     /// Rebuild job slot: the routing thread release-stores true, the
     /// worker acquires, rebuilds the shard, and release-stores false.
@@ -428,11 +384,9 @@ class AdmissionService {
   /// Runs up to one chunk of shard s's ring through the per-arrival loop;
   /// returns true if it did any work.  Runs on the owning worker only.
   bool drain_lane(std::size_t s);
-  /// The per-arrival loop's fault-tolerance steps, kept off its hot path:
-  /// injector probe and deadline (returns "shed") before, mode record and
-  /// budget latch after.
-  bool before_ft_arrival(std::size_t s, std::size_t idx, const Timer& busy);
-  void after_ft_arrival(Shard& shard, std::size_t idx, bool shed);
+  /// The per-arrival loop's injector probe, kept off its hot path: throws
+  /// an injected fault or sleeps an injected delay.
+  void before_ft_arrival(std::size_t s, std::size_t idx);
   /// Runs shard s's posted rebuild job if any; returns true if it did.
   bool run_lane_job(std::size_t s);
   /// Pushes batch index `idx` into shard s's ring, yielding while full.
@@ -458,15 +412,14 @@ class AdmissionService {
                                   std::size_t base);
   /// Commits the shard's processed prefix of this batch: arrival count
   /// and, under fault tolerance, the committed log.
-  void commit_shard_batch(std::size_t shard, std::span<const Request> batch,
-                          std::size_t base);
+  void commit_shard_batch(std::size_t shard, std::span<const Request> batch);
   /// Rebuilds every listed shard as parallel lane jobs — one shard's log
   /// replay must not block its siblings (DESIGN.md §11.5) — and rethrows
   /// the first rebuild error.
   void dispatch_rebuilds(const std::vector<std::size_t>& failed);
   /// Rebuilds the shard's algorithm to its last committed state: fresh
   /// factory instance, checkpoint load when available, log replay for the
-  /// rest (re-deriving the budget latch deterministically).
+  /// rest.
   void rebuild_shard(std::size_t shard);
   bool request_well_formed(const Request& request) const noexcept;
 
@@ -498,8 +451,8 @@ class AdmissionService {
   bool stop_workers_ = false;     // guarded by pump_mu_
   /// arrival index → (shard, shard-local request id).
   std::vector<std::pair<std::uint32_t, RequestId>> placement_;
-  /// arrival index → DecisionMode (only under fault tolerance).  Sized
-  /// before a batch's first push: workers write it by index mid-batch.
+  /// arrival index → DecisionMode (only under fault tolerance).  Written
+  /// by the routing thread only; entries start at kEngine (0).
   std::vector<std::uint8_t> modes_;
   /// Per-batch decision scratch (uint8_t, not vector<bool>: workers
   /// write disjoint elements concurrently and vector<bool> packs bits).

@@ -95,13 +95,7 @@ FeedbackResult run_feedback(AdmissionService& service,
           ++es.admitted;
           continue;
         }
-        const DecisionMode mode = service.decision_mode(base + i);
-        if (mode == DecisionMode::kEngine) {
-          ++es.rejected;
-        } else if (mode == DecisionMode::kShed &&
-                   service.placement(base + i).second != kInvalidId) {
-          // Processed by the degraded threshold rule — an engine-side
-          // verdict, not a drop.
+        if (service.decision_mode(base + i) == DecisionMode::kEngine) {
           ++es.rejected;
         } else {
           ++es.shed;

@@ -4,11 +4,11 @@
 // The open-loop drivers (sim/runner.h, AdmissionService::run) replay a
 // fixed arrival sequence: a rejected request is gone.  Real overloads do
 // not behave that way — rejected and shed clients come back, which is
-// what turns a transient spike into a sustained one (retry storms) and
-// what backpressure/load-shedding is supposed to dampen.  run_feedback
-// closes the loop: the instance's requests arrive in epochs, every
-// admission verdict is observed, and a rejected or shed request re-arrives
-// after a client-side exponential backoff until its attempts are spent.
+// what turns a transient spike into a sustained one (retry storms).
+// run_feedback closes the loop: the instance's requests arrive in epochs,
+// every admission verdict is observed, and a rejected or shed (dropped by
+// quarantine or validation) request re-arrives after a client-side
+// exponential backoff until its attempts are spent.
 #pragma once
 
 #include <cstddef>
@@ -51,8 +51,8 @@ struct FeedbackEpochStats {
   std::size_t fresh = 0;     ///< first-attempt arrivals
   std::size_t retried = 0;   ///< re-arrivals from the retry queue
   std::size_t admitted = 0;  ///< accepted by the service
-  std::size_t rejected = 0;  ///< engine-rejected (kEngine/kShed processing)
-  std::size_t shed = 0;      ///< dropped by backpressure/quarantine/validation
+  std::size_t rejected = 0;  ///< engine-rejected (kEngine)
+  std::size_t shed = 0;      ///< dropped by quarantine or validation
   std::size_t abandoned = 0; ///< clients out of attempts this epoch
   std::size_t backlog = 0;   ///< retry queue size at epoch end
 };

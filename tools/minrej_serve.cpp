@@ -15,9 +15,9 @@
 // (provenance-stamped: git SHA, build type, scenario); `--dump path`
 // saves the synthesized instance for exact replay.
 //
-// `--feedback` closes the loop (sim/feedbacksim.h): rejected and shed
-// requests re-arrive after client-side exponential backoff, spread over
-// `--epochs` epochs.
+// `--feedback` closes the loop (sim/feedbacksim.h): rejected requests,
+// and those the service dropped by quarantine or validation, re-arrive
+// after client-side exponential backoff, spread over `--epochs` epochs.
 //
 // `--soak N` runs the fault-tolerance soak harness (DESIGN.md §9): N
 // epochs of pump → snapshot → restore-into-fresh-service → bitwise verify
@@ -109,8 +109,7 @@ std::string shard_json(const ShardStats& s) {
       .field("shed", s.shed)
       .field("malformed", s.malformed)
       .field("injected_delays", s.injected_delays)
-      .field("quarantined", s.quarantined)
-      .field("degraded", s.degraded);
+      .field("quarantined", s.quarantined);
   return o.dump();
 }
 
@@ -148,7 +147,6 @@ void append_service_stats(JsonObject& root, const ServiceStats& stats) {
       .field("malformed", stats.malformed)
       .field("injected_delays", stats.injected_delays)
       .field("quarantined_shards", stats.quarantined_shards)
-      .field("degraded_shards", stats.degraded_shards)
       .field("seconds", stats.seconds)
       .field("arrivals_per_sec", stats.arrivals_per_sec())
       .field("max_shard_busy_s", stats.max_shard_busy_s)
