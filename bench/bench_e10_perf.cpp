@@ -328,10 +328,10 @@ int main(int argc, char** argv) {
   }
   emit(stack_table, "e10b_full_stack", csv_dir);
 
-  // -- (c) Monte-Carlo sweep scaling over the thread pool -------------------
+  // -- (c) Monte-Carlo sweep scaling over parallel_trials -------------------
   // The same 64 independent trials at 1, 2, 4, 8 threads; near-linear
-  // scaling expected up to the core count (a thread_pool/parallel_trials
-  // regression shows up here as a flat or inverted column).
+  // scaling expected up to the core count (a parallel_trials regression
+  // shows up here as a flat or inverted column).
   std::vector<std::string> sweep_json;
   Table sweep_table("E10c — parallel sweep: 64 randomized trials",
                     {"threads", "seconds", "trials/s"});

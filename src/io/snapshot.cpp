@@ -64,7 +64,10 @@ void SnapshotWriter::bit_vec(const std::vector<bool>& v) {
 std::vector<std::uint8_t> SnapshotWriter::finish() const {
   std::vector<std::uint8_t> out;
   out.reserve(4 + 4 + 8 + kind_.size() + 4 + 8 + 8 + payload_.size());
-  out.insert(out.end(), std::begin(kMagic), std::end(kMagic));
+  // assign, not insert at end(): GCC 12 misreads a range insert into a
+  // freshly reserved, still empty vector as a write past its end
+  // (-Wstringop-overflow).  Within the reservation, so no reallocation.
+  out.assign(std::begin(kMagic), std::end(kMagic));
   append_u32(out, kContainerVersion);
   append_u64(out, kind_.size());
   out.insert(out.end(), kind_.begin(), kind_.end());

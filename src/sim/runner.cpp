@@ -1,13 +1,14 @@
 #include "sim/runner.h"
 
 #include <algorithm>
-#include <cmath>
+#include <exception>
 #include <limits>
-#include <sstream>
+#include <mutex>
+#include <thread>
 
+#include "util/build_info.h"
 #include "util/check.h"
 #include "util/stats.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace minrej {
@@ -184,8 +185,32 @@ std::vector<double> parallel_trials(
     std::size_t trials, const std::function<double(std::size_t)>& body,
     std::size_t threads) {
   std::vector<double> results(trials, 0.0);
-  parallel_for_index(
-      trials, [&](std::size_t i) { results[i] = body(i); }, threads);
+  if (trials == 0) return results;
+  if (threads == 0) threads = hardware_concurrency();
+  threads = std::min(threads, trials);
+  if (threads == 1) {
+    for (std::size_t i = 0; i < trials; ++i) results[i] = body(i);
+    return results;
+  }
+
+  std::mutex err_mu;
+  std::exception_ptr first_error;
+  std::vector<std::thread> team;
+  team.reserve(threads);
+  const std::size_t chunk = (trials + threads - 1) / threads;
+  for (std::size_t begin = 0; begin < trials; begin += chunk) {
+    const std::size_t end = std::min(trials, begin + chunk);
+    team.emplace_back([&, begin, end] {
+      try {
+        for (std::size_t i = begin; i < end; ++i) results[i] = body(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(err_mu);
+        if (!first_error) first_error = std::current_exception();
+      }
+    });
+  }
+  for (std::thread& t : team) t.join();
+  if (first_error) std::rethrow_exception(first_error);
   return results;
 }
 

@@ -4,8 +4,8 @@
 // Everything a bench binary needs: feed an instance through an algorithm
 // (the base classes enforce the online contracts at every step), compute
 // competitive ratios against a chosen ground truth, and fan Monte-Carlo
-// trials out over the thread pool deterministically (trial i always runs
-// with seed base_seed + i regardless of scheduling).
+// trials out over a fork-join thread team deterministically (trial i
+// always runs with seed base_seed + i regardless of scheduling).
 #pragma once
 
 #include <cstdint>
@@ -121,7 +121,10 @@ double competitive_ratio(double cost, double opt);
 
 /// Runs `trials` independent trials in parallel (deterministic seeding is
 /// the caller's job: the body receives the trial index) and returns the
-/// per-trial results.
+/// per-trial results.  Trials are split into contiguous slices over
+/// `threads` workers (0 = hardware concurrency); with one worker they run
+/// inline, in order.  Blocks until every trial is done and rethrows the
+/// first exception a body raised.
 std::vector<double> parallel_trials(std::size_t trials,
                                     const std::function<double(std::size_t)>& body,
                                     std::size_t threads = 0);

@@ -70,6 +70,21 @@ TEST(Snapshot, RoundTripsEveryFieldType) {
   r.expect_end();
 }
 
+TEST(Snapshot, ContainerBytesArePinned) {
+  // The sealed layout byte for byte: magic, container version, kind,
+  // stream version, payload size, FNV-1a 64 of the payload, payload.
+  SnapshotWriter w("k", 2);
+  w.u8(0xAB);
+  const std::vector<std::uint8_t> expected{
+      'M',  'R',  'S',  'N',  0x01, 0x00, 0x00, 0x00,  // magic, container
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // kind length
+      'k',  0x02, 0x00, 0x00, 0x00,                    // kind, version
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // payload size
+      0x4A, 0x6A, 0x02, 0x86, 0x4C, 0x26, 0x64, 0xAF,  // checksum
+      0xAB};
+  EXPECT_EQ(w.finish(), expected);
+}
+
 TEST(Snapshot, NanSurvivesBitExactly) {
   SnapshotWriter w("test.kind", 1);
   w.f64(std::numeric_limits<double>::quiet_NaN());

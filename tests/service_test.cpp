@@ -38,6 +38,18 @@ ShardAlgorithmFactory deterministic_unit_factory() {
   };
 }
 
+/// The weighted form of the above: the doubling schedule could couple
+/// disjoint edges through a shared α, so α is fixed (DESIGN.md §6.1).
+ShardAlgorithmFactory deterministic_fixed_alpha_factory() {
+  return [](const Graph& graph, std::size_t) {
+    RandomizedConfig cfg;
+    cfg.step3_random = false;
+    cfg.seed = 7;
+    cfg.fractional.fixed_alpha = 8.0;
+    return std::make_unique<RandomizedAdmission>(graph, cfg);
+  };
+}
+
 ShardAlgorithmFactory greedy_factory() {
   return [](const Graph& graph, std::size_t) {
     return std::make_unique<GreedyNoPreempt>(graph);
@@ -254,6 +266,25 @@ TEST_F(ShardIdentity, PreemptCheapestOnTenantAlignedMultiTenant) {
     return (static_cast<std::size_t>(e) / block) % tenants;
   };
   expect_identical_runs(inst, preempt_cheapest_factory(), cfg);
+}
+
+TEST_F(ShardIdentity, EngineBackedFixedAlphaOnTenantAlignedMultiTenant) {
+  // The catalog multi_tenant scenario (8 tenants of 8 edges, weighted
+  // costs) through the deterministic weighted engine, 4 shards holding
+  // two whole tenants each.
+  ScenarioParams params;
+  params.requests = 3000;
+  params.edges = 64;
+  const AdmissionInstance inst = make_scenario("multi_tenant", params, rng);
+  const std::size_t block = 8;
+  const std::size_t shards = 4;
+  ServiceConfig cfg;
+  cfg.shards = shards;
+  cfg.batch = 128;
+  cfg.partition = [block, shards](EdgeId e) {
+    return (static_cast<std::size_t>(e) / block) % shards;
+  };
+  expect_identical_runs(inst, deterministic_fixed_alpha_factory(), cfg);
 }
 
 // ---------------------------------------------------------------------------

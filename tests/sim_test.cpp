@@ -13,7 +13,6 @@
 #include "service/admission_service.h"
 #include "sim/feedbacksim.h"
 #include "sim/runner.h"
-#include "sim/trace.h"
 #include "sim/workloads.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -499,45 +498,6 @@ TEST(ScenarioCatalog, GenerationIsSeedStable) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// TraceRecorder
-// ---------------------------------------------------------------------------
-
-TEST(Trace, CapturesEveryArrival) {
-  Rng rng(9);
-  AdmissionInstance inst =
-      make_single_edge_burst(2, 8, CostModel::unit_costs(), rng);
-  GreedyNoPreempt alg(inst.graph());
-  TraceRecorder recorder;
-  const auto& rows = recorder.record(alg, inst);
-  ASSERT_EQ(rows.size(), 8u);
-  // First two accepted, the rest rejected (no preemption, capacity 2).
-  EXPECT_TRUE(rows[0].accepted);
-  EXPECT_TRUE(rows[1].accepted);
-  for (std::size_t i = 2; i < 8; ++i) {
-    EXPECT_FALSE(rows[i].accepted);
-    EXPECT_EQ(rows[i].preempted, 0u);
-  }
-  // Running totals are monotone and end at the algorithm's totals.
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    EXPECT_GE(rows[i].rejected_cost_total, rows[i - 1].rejected_cost_total);
-  }
-  EXPECT_DOUBLE_EQ(rows.back().rejected_cost_total, alg.rejected_cost());
-}
-
-TEST(Trace, CsvHasHeaderAndRows) {
-  Rng rng(10);
-  AdmissionInstance inst =
-      make_single_edge_burst(1, 3, CostModel::unit_costs(), rng);
-  GreedyNoPreempt alg(inst.graph());
-  TraceRecorder recorder;
-  recorder.record(alg, inst);
-  const std::string csv = recorder.to_csv();
-  EXPECT_NE(csv.find("arrival,cost"), std::string::npos);
-  // Header + 3 data rows = 4 newlines.
-  EXPECT_EQ(static_cast<int>(std::count(csv.begin(), csv.end(), '\n')), 4);
-}
-
 TEST(Runner, ParallelTrialsReturnsPerTrialValues) {
   const auto results = parallel_trials(
       10, [](std::size_t i) { return static_cast<double>(i * i); }, 4);
@@ -567,20 +527,18 @@ TEST_F(Determinism, RandomizedAdmissionTrajectoryIsSeedStable) {
   cfg.seed = 42;
   RandomizedAdmission first(inst.graph(), cfg);
   RandomizedAdmission second(inst.graph(), cfg);
-  TraceRecorder trace_first;
-  TraceRecorder trace_second;
-  trace_first.record(first, inst);
-  trace_second.record(second, inst);
 
-  ASSERT_EQ(trace_first.rows().size(), trace_second.rows().size());
-  for (std::size_t i = 0; i < trace_first.rows().size(); ++i) {
-    const TraceRow& a = trace_first.rows()[i];
-    const TraceRow& b = trace_second.rows()[i];
+  // Arrival by arrival: the decision, the preemptions it caused, and the
+  // running rejected totals.
+  for (std::size_t i = 0; i < inst.request_count(); ++i) {
+    const Request& request = inst.request(static_cast<RequestId>(i));
+    const ArrivalResult a = first.process(request);
+    const ArrivalResult b = second.process(request);
     EXPECT_EQ(a.accepted, b.accepted) << "arrival " << i;
-    EXPECT_EQ(a.preempted, b.preempted) << "arrival " << i;
-    EXPECT_DOUBLE_EQ(a.rejected_cost_total, b.rejected_cost_total)
+    EXPECT_EQ(a.preempted.size(), b.preempted.size()) << "arrival " << i;
+    EXPECT_DOUBLE_EQ(first.rejected_cost(), second.rejected_cost())
         << "arrival " << i;
-    EXPECT_EQ(a.rejected_count_total, b.rejected_count_total)
+    EXPECT_EQ(first.rejected_count(), second.rejected_count())
         << "arrival " << i;
   }
   EXPECT_DOUBLE_EQ(first.rejected_cost(), second.rejected_cost());

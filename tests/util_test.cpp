@@ -1,11 +1,10 @@
-// Tests for src/util: rng, stats, table, thread_pool, cli.
+// Tests for src/util: rng, stats, table, cli.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <set>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -15,7 +14,6 @@
 #include "util/spsc_ring.h"
 #include "util/stats.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 namespace minrej {
 namespace {
@@ -293,37 +291,6 @@ TEST(Table, RowWidthMismatchThrows) {
 
 TEST(Table, EmptyColumnsThrow) {
   EXPECT_THROW(Table("empty", {}), InvalidArgument);
-}
-
-// ---------------------------------------------------------------------------
-// parallel_for_index
-// ---------------------------------------------------------------------------
-
-TEST(ParallelFor, ComputesAllIndices) {
-  std::vector<int> hits(1000, 0);
-  parallel_for_index(1000, [&](std::size_t i) { hits[i] = 1; }, 8);
-  for (int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(ParallelFor, ZeroCountIsNoop) {
-  parallel_for_index(0, [](std::size_t) { FAIL() << "must not run"; });
-}
-
-TEST(ParallelFor, SingleThreadRunsInline) {
-  std::vector<std::size_t> order;
-  parallel_for_index(5, [&](std::size_t i) { order.push_back(i); }, 1);
-  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
-}
-
-TEST(ParallelFor, PropagatesException) {
-  EXPECT_THROW(
-      parallel_for_index(
-          100,
-          [](std::size_t i) {
-            if (i == 57) throw std::runtime_error("boom");
-          },
-          4),
-      std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
