@@ -1,7 +1,5 @@
 #include "io/snapshot.h"
 
-#include <fstream>
-
 namespace minrej {
 
 namespace {
@@ -218,27 +216,6 @@ void SnapshotReader::guard_count(std::uint64_t n, std::size_t elem_size) {
     throw InvalidArgument("snapshot length prefix " + std::to_string(n) +
                           " exceeds the remaining payload — corrupted count");
   }
-}
-
-void save_snapshot_file(const std::string& path,
-                        std::span<const std::uint8_t> bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  MINREJ_REQUIRE(out.good(), "cannot open snapshot file for writing: " + path);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  MINREJ_REQUIRE(out.good(), "short write to snapshot file: " + path);
-}
-
-std::vector<std::uint8_t> load_snapshot_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  MINREJ_REQUIRE(in.good(), "cannot open snapshot file: " + path);
-  const std::streamsize size = in.tellg();
-  in.seekg(0);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  in.read(reinterpret_cast<char*>(bytes.data()), size);
-  MINREJ_REQUIRE(in.gcount() == size, "short read from snapshot file: " + path);
-  return bytes;
 }
 
 }  // namespace minrej

@@ -181,12 +181,4 @@ class SnapshotReader {
   std::uint32_t version_ = 0;
 };
 
-/// Writes a sealed snapshot to `path` (binary, atomic via rename is NOT
-/// attempted — callers own durability policy).  Throws on I/O failure.
-void save_snapshot_file(const std::string& path,
-                        std::span<const std::uint8_t> bytes);
-
-/// Reads a file produced by save_snapshot_file.  Throws on I/O failure.
-std::vector<std::uint8_t> load_snapshot_file(const std::string& path);
-
 }  // namespace minrej

@@ -330,7 +330,6 @@ std::vector<bool> AdmissionService::submit_batch(
   const FaultToleranceConfig& ft = config_.fault_tolerance;
   const FaultInjector* injector = ft.enabled ? ft.injector.get() : nullptr;
   const std::size_t base = placement_.size();
-  placement_.reserve(base + batch.size());
   decisions_.assign(batch.size(), 0);
   // New entries start at kEngine; routing and settle_batch overwrite the
   // ones they drop.

@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <memory>
+#include <new>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -20,6 +23,26 @@
 #include "sim/workloads.h"
 #include "test_util.h"
 #include "util/rng.h"
+
+// Every byte this binary requests through global operator new (array and
+// nothrow forms forward here; over-aligned forms are not counted), from
+// any thread.  Lets a test bound what a code path allocates by counting
+// bytes instead of timing it.
+namespace {
+std::atomic<std::uint64_t> g_new_bytes{0};
+}  // namespace
+
+// Not inlined: GCC would otherwise see malloc() and free() at the call
+// sites of new and delete expressions and warn (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_new_bytes.fetch_add(size, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace minrej {
 namespace {
@@ -594,6 +617,34 @@ TEST_F(ConcurrentPump, ShardFailureVoidsPlacementsLikeSequential) {
   EXPECT_GT(voided, 0u);
   // Exactly shard 1's arrivals past its 10 processed ones are voided.
   EXPECT_EQ(service.shard_stats(1).arrivals, 10u);
+}
+
+TEST_F(ConcurrentPump, SingleArrivalCallsAllocateIndependentOfHistory) {
+  // Per-call work on the routing thread must be O(batch + shards).  An
+  // exact-size reserve on the placement table reallocated and copied
+  // every earlier placement on each call, ~80 KB per call on average over
+  // this stream.  Geometric growth measures ~194 bytes per call; the
+  // budget is about twice that.
+  constexpr std::size_t kCalls = 20000;
+  constexpr std::uint64_t kBytesPerCallBudget = 400;
+  ScenarioParams params;
+  params.requests = kCalls;
+  params.edges = 16;
+  const AdmissionInstance inst = make_scenario("power_law", params, rng);
+  ServiceConfig cfg;
+  cfg.shards = 1;
+  cfg.threads = 1;
+  AdmissionService service(inst.graph(), greedy_factory(), cfg);
+  const std::span<const Request> requests(inst.requests());
+  ASSERT_EQ(requests.size(), kCalls);
+  const std::uint64_t before = g_new_bytes.load();
+  for (std::size_t i = 0; i < kCalls; ++i) {
+    service.submit_batch(requests.subspan(i, 1));
+  }
+  const std::uint64_t bytes = g_new_bytes.load() - before;
+  EXPECT_EQ(service.arrivals(), kCalls);
+  EXPECT_LE(bytes, kBytesPerCallBudget * kCalls)
+      << bytes / kCalls << " bytes per call";
 }
 
 // ---------------------------------------------------------------------------
